@@ -1,12 +1,19 @@
-"""MCUPS per kernel backend per workload — the tracked perf trajectory.
+"""MCUPS per sweep kernel per workload — the tracked perf trajectory.
 
 The paper's whole claim is kernel throughput in linear space, so the
-repo keeps an honest ledger of it: this script sweeps every registered
-kernel backend (:mod:`repro.align.kernels`) over Stage-1-shaped local
-sweeps and writes ``BENCH_backends.json``.  Workloads come in two
-shapes: ``MxN`` is one pair (per-backend MCUPS), ``KxMxN`` is K
-independent small pairs (pairs/sec + aggregate MCUPS — the workload the
-``batched`` backend's fused dispatch exists for).
+repo keeps an honest ledger of it: this script times a fixed set of
+sweep kernels over Stage-1-shaped local sweeps and writes
+``BENCH_backends.json``.  Workloads come in two shapes, each with its
+own pair of contenders:
+
+* ``MxN`` is one pair: ``rowscan`` (the serial
+  :class:`~repro.align.rowscan.RowSweeper`) against ``wavefront`` (the
+  :class:`~repro.parallel.ParallelRowSweeper` tile grid on a
+  ``--workers`` process pool).  Reported as MCUPS.
+* ``KxMxN`` is K independent small pairs: a ``rowscan`` loop (build and
+  run one sweeper per pair) against ``batched`` (the same K lanes fused
+  through :func:`~repro.align.batched.sweep_batched`).  Reported as
+  pairs/sec plus aggregate MCUPS.
 
 Two destinations, one schema:
 
@@ -18,17 +25,15 @@ Two destinations, one schema:
 
 Honesty rules, enforced:
 
-* backend names come from the registry — asking for a name the registry
-  does not know is an error, and :func:`validate_ledger` rejects any
-  ledger mentioning one (CI runs it against the committed trajectory
-  file, so schema or registry drift fails the build);
-* every backend's sweep is checked bit-identical to ``rowscan`` (best
-  score and final row) before its timing is reported;
+* kernel names come from this script's fixed set (:data:`KERNELS`) —
+  asking for any other name is an error, and :func:`validate_ledger`
+  rejects any ledger mentioning one (CI runs it against the committed
+  trajectory file, so schema or kernel-set drift fails the build);
+* every kernel's sweep is checked bit-identical to ``rowscan`` (best
+  score, best cell and final row) before its timing is reported;
 * timings are min-of-``--repeats`` wall clock on this host, whatever
-  they turn out to be — the ledger records losses too (on a host NumPy
-  build, the anti-diagonal schedule's per-diagonal dispatch usually
-  *loses* to rowscan's per-row scan; it exists because it is the GPU
-  schedule, and the ledger proves the observables match).
+  they turn out to be — the ledger records losses too, along with the
+  host's ``cpu_count`` so a pool measured on too few cores is visible.
 
 Usage::
 
@@ -40,7 +45,6 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import importlib
 import json
 import os
 import platform
@@ -54,17 +58,25 @@ if __package__ in (None, ""):
 
 import numpy as np
 
-from repro.align.kernels import backend_names, get_backend
+from repro.align.batched import sweep_batched
+from repro.align.rowscan import RowSweeper
 from repro.errors import ConfigError
-from repro.parallel import WavefrontExecutor
+from repro.parallel import ParallelRowSweeper, WavefrontExecutor
 from repro.sequences.synth import random_dna
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 OUT_PATH = BENCH_DIR / "out" / "BENCH_backends.json"
 TRAJECTORY_PATH = BENCH_DIR / "trajectory" / "BENCH_backends.json"
 
-DEFAULT_WORKLOADS = ("512x512", "1024x1024", "2048x2048", "64x256x256")
+DEFAULT_WORKLOADS = ("512x512", "1024x1024", "2048x2048", "8192x8192",
+                     "64x256x256")
 QUICK_WORKLOADS = ("256x256", "8x64x64")
+
+#: Contenders per workload shape; :data:`KERNELS` is every name a ledger
+#: may mention.
+SINGLE_KERNELS = ("rowscan", "wavefront")
+PAIRS_KERNELS = ("rowscan", "batched")
+KERNELS = tuple(sorted(set(SINGLE_KERNELS) | set(PAIRS_KERNELS)))
 
 
 def _parse_workload(spec: str) -> tuple[int, ...]:
@@ -80,16 +92,19 @@ def _parse_workload(spec: str) -> tuple[int, ...]:
     return dims
 
 
-def _sweep_once(backend, codes0, codes1, scheme, executor=None):
-    sweep = backend.make(codes0, codes1, scheme, executor=executor,
-                         local=True, track_best=True)
+def _sweep_once(name, codes0, codes1, scheme, executor=None):
+    if name == "wavefront":
+        sweep = ParallelRowSweeper(codes0, codes1, scheme, executor=executor,
+                                   local=True, track_best=True)
+    else:
+        sweep = RowSweeper(codes0, codes1, scheme,
+                           local=True, track_best=True)
     start = time.perf_counter()
     sweep.run()
     seconds = time.perf_counter() - start
-    result = (int(sweep.best), sweep.best_pos, sweep.H.copy())
-    close = getattr(sweep, "close", None)
-    if close is not None:
-        close()
+    result = _lane_result(sweep)
+    if name == "wavefront":
+        sweep.close()
     return seconds, result
 
 
@@ -103,30 +118,24 @@ def _lane_result(sweep) -> tuple:
     return int(sweep.best), sweep.best_pos, sweep.H.copy()
 
 
-def measure_pairs_workload(spec: str, backends: list[str], scheme, *,
+def measure_pairs_workload(spec: str, kernels: list[str], scheme, *,
                            repeats: int, seed: int = 0) -> dict:
-    """Time every *serial* backend on K independent small pairs.
+    """Time the pairs contenders on K independent small pairs.
 
     This is the workload batching exists for: construction cost and
     per-dispatch overhead dominate small matrices, so the timer wraps
     the whole loop — build sweepers, run them — not just the sweep.
-    Plain serial backends run the K pairs one after another;
-    batch-capable backends (``KernelBackend.batch``) build K lanes and
-    hand them to their module's ``sweep_batched`` in one fused dispatch.
-    Before any timing is reported, every backend's per-pair
+    ``rowscan`` runs the K pairs one after another; ``batched`` hands
+    the K lanes to :func:`sweep_batched` in fused dispatches.  Before
+    any timing is reported, every kernel's per-pair
     ``best``/``best_pos``/final ``H`` row is checked bit-identical to an
-    untimed rowscan pass.  Non-serial backends are skipped (a process
-    pool per 256x256 pair would measure the pool, not the kernel).
+    untimed rowscan pass.
     """
     k, m, n = _parse_workload(spec)
     pairs = _pairs(k, m, n, seed)
-    reference = []
-    rowscan = get_backend("rowscan")
-    for codes0, codes1 in pairs:
-        sweep = rowscan.make(codes0, codes1, scheme,
-                             local=True, track_best=True)
-        sweep.run()
-        reference.append(_lane_result(sweep))
+    reference = [_lane_result(RowSweeper(codes0, codes1, scheme, local=True,
+                                         track_best=True).run())
+                 for codes0, codes1 in pairs]
     entry: dict = {
         "kind": "pairs",
         "pairs": k,
@@ -134,20 +143,16 @@ def measure_pairs_workload(spec: str, backends: list[str], scheme, *,
         "best_score": sum(r[0] for r in reference),
         "backends": {},
     }
-    for name in backends:
-        backend = get_backend(name)
-        if not backend.serial:
+    for name in kernels:
+        if name not in PAIRS_KERNELS:
             continue
-        if backend.batch:
-            sweep_batched = importlib.import_module(
-                backend.factory.__module__).sweep_batched
         best = None
         for repeat in range(max(1, repeats)):
             start = time.perf_counter()
-            lanes = [backend.make(codes0, codes1, scheme,
-                                  local=True, track_best=True)
+            lanes = [RowSweeper(codes0, codes1, scheme,
+                                local=True, track_best=True)
                      for codes0, codes1 in pairs]
-            if backend.batch:
+            if name == "batched":
                 sweep_batched(lanes)
             else:
                 for lane in lanes:
@@ -167,19 +172,23 @@ def measure_pairs_workload(spec: str, backends: list[str], scheme, *,
             "pairs_per_sec": k / best,
             "mcups": (k * m * n) / best / 1e6,
         }
+    _speedups(entry)
+    return entry
+
+
+def _speedups(entry: dict) -> None:
     base = entry["backends"].get("rowscan")
     for stats in entry["backends"].values():
         stats["speedup_vs_rowscan"] = (
             base["seconds"] / stats["seconds"] if base else None)
-    return entry
 
 
-def measure_workload(spec: str, backends: list[str], scheme, *,
+def measure_workload(spec: str, kernels: list[str], scheme, *,
                      workers: int, repeats: int, seed: int = 0) -> dict:
-    """Time every backend on one workload; returns its ledger entry."""
+    """Time the contenders on one workload; returns its ledger entry."""
     dims = _parse_workload(spec)
     if len(dims) == 3:
-        return measure_pairs_workload(spec, backends, scheme,
+        return measure_pairs_workload(spec, kernels, scheme,
                                       repeats=repeats, seed=seed)
     m, n = dims
     rng = np.random.default_rng(seed)
@@ -189,15 +198,15 @@ def measure_workload(spec: str, backends: list[str], scheme, *,
     reference = None
     executor = None
     try:
-        for name in backends:
-            backend = get_backend(name)
-            if not backend.serial and executor is None:
+        for name in kernels:
+            if name not in SINGLE_KERNELS:
+                continue
+            if name == "wavefront" and executor is None:
                 executor = WavefrontExecutor(workers)
             best = None
             for _ in range(max(1, repeats)):
-                seconds, result = _sweep_once(
-                    backend, codes0, codes1, scheme,
-                    executor=None if backend.serial else executor)
+                seconds, result = _sweep_once(name, codes0, codes1, scheme,
+                                              executor=executor)
                 best = seconds if best is None else min(best, seconds)
             if reference is None:
                 reference = result
@@ -214,25 +223,22 @@ def measure_workload(spec: str, backends: list[str], scheme, *,
     finally:
         if executor is not None:
             executor.close()
-    base = entry["backends"].get("rowscan")
-    for stats in entry["backends"].values():
-        stats["speedup_vs_rowscan"] = (
-            base["seconds"] / stats["seconds"] if base else None)
+    _speedups(entry)
     return entry
 
 
 def build_ledger(workloads, backends, *, workers: int, repeats: int) -> dict:
     from repro.align.scoring import PAPER_SCHEME
-    known = backend_names()
-    unknown = [b for b in backends if b not in known]
+    unknown = [b for b in backends if b not in KERNELS]
     if unknown:
         raise ConfigError(
-            f"unknown backends {unknown}; the registry knows {list(known)} — "
-            f"the ledger refuses to report names the code cannot back")
+            f"unknown kernels {unknown}; this script measures "
+            f"{list(KERNELS)} — the ledger refuses to report names the code "
+            f"cannot back")
     ledger: dict = {
         "schema": SCHEMA_VERSION,
         "kind": "BENCH_backends",
-        "registry": list(known),
+        "kernels": list(KERNELS),
         "cpu_count": os.cpu_count(),
         "wavefront_workers": workers,
         "python": platform.python_version(),
@@ -251,19 +257,19 @@ def build_ledger(workloads, backends, *, workers: int, repeats: int) -> dict:
 
 
 def validate_ledger(ledger: dict) -> None:
-    """Reject a ledger whose schema or backend names drifted from the
-    code.  Raises ``ValueError`` with the first problem found."""
+    """Reject a ledger whose schema or kernel names drifted from this
+    script.  Raises ``ValueError`` with the first problem found."""
     if ledger.get("schema") != SCHEMA_VERSION:
         raise ValueError(
             f"ledger schema {ledger.get('schema')!r} != {SCHEMA_VERSION}")
     if ledger.get("kind") != "BENCH_backends":
         raise ValueError(f"ledger kind {ledger.get('kind')!r}")
-    known = set(backend_names())
-    recorded = ledger.get("registry")
-    if not isinstance(recorded, list) or set(recorded) - known:
+    known = set(KERNELS)
+    recorded = ledger.get("kernels")
+    if not isinstance(recorded, list) or set(recorded) != known:
         raise ValueError(
-            f"ledger registry {recorded!r} names backends the code does not "
-            f"register ({sorted(known)})")
+            f"ledger kernels {recorded!r} drifted from the measured set "
+            f"({sorted(known)})")
     workloads = ledger.get("workloads")
     if not isinstance(workloads, dict) or not workloads:
         raise ValueError("ledger has no workloads")
@@ -289,7 +295,7 @@ def validate_ledger(ledger: dict) -> None:
         for name, stats in entry["backends"].items():
             if name not in known:
                 raise ValueError(
-                    f"workload {spec} reports unregistered backend {name!r}")
+                    f"workload {spec} reports unknown kernel {name!r}")
             for key in stat_keys:
                 if not isinstance(stats.get(key), (int, float)):
                     raise ValueError(f"{spec}/{name}: bad {key!r}")
@@ -297,11 +303,11 @@ def validate_ledger(ledger: dict) -> None:
                 raise ValueError(f"{spec}/{name}: non-positive timing")
     for name in ledger.get("wins", {}):
         if name not in known:
-            raise ValueError(f"wins reports unregistered backend {name!r}")
+            raise ValueError(f"wins reports unknown kernel {name!r}")
 
 
 def render(ledger: dict) -> str:
-    lines = [f"kernel backend MCUPS (cpu_count={ledger['cpu_count']}, "
+    lines = [f"sweep kernel MCUPS (cpu_count={ledger['cpu_count']}, "
              f"wavefront workers={ledger['wavefront_workers']})"]
     for spec, entry in ledger["workloads"].items():
         if entry.get("kind") == "pairs":
@@ -323,8 +329,8 @@ def render(ledger: dict) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--backends", nargs="+", default=None,
-                        help="backend names to measure (default: every "
-                             "registered backend)")
+                        help=f"kernels to measure (default: all of "
+                             f"{', '.join(KERNELS)})")
     parser.add_argument("--workloads", nargs="+", default=None,
                         metavar="MxN", help="matrix sizes: 2048x2048 (one "
                              "pair) or 64x256x256 (K small pairs)")
@@ -341,7 +347,7 @@ def main(argv=None) -> int:
                              f"({TRAJECTORY_PATH})")
     args = parser.parse_args(argv)
 
-    backends = args.backends or list(backend_names())
+    backends = args.backends or list(KERNELS)
     if args.quick:
         workloads = args.workloads or list(QUICK_WORKLOADS)
         repeats = 1

@@ -3,11 +3,7 @@ full-matrix traceback, Myers-Miller linear-space alignment."""
 
 from repro.align.scoring import PAPER_SCHEME, ScoringScheme
 from repro.align.alignment import Alignment, Composition, GapRun
-from repro.align.rowscan import RowSweeper
-from repro.align.kernels import (KernelBackend, backend_names, boundary_column,
-                                 get_backend, register_backend,
-                                 serial_kernel_names)
-from repro.align.diagonal import DiagonalSweeper
+from repro.align.rowscan import RowSweeper, row_step
 from repro.align import reference
 from repro.align.full_matrix import dp_matrices, global_align, local_align
 from repro.align.myers_miller import MMConfig, MMStats, find_midpoint, mm_align, mm_score
@@ -17,9 +13,7 @@ from repro.align.tiled import TileEdges, TileResult, tile_sweep, tiled_local_swe
 __all__ = [
     "PAPER_SCHEME", "ScoringScheme",
     "Alignment", "Composition", "GapRun",
-    "RowSweeper", "DiagonalSweeper", "reference",
-    "KernelBackend", "backend_names", "boundary_column", "get_backend",
-    "register_backend", "serial_kernel_names",
+    "RowSweeper", "row_step", "reference",
     "dp_matrices", "global_align", "local_align",
     "MMConfig", "MMStats", "find_midpoint", "mm_align", "mm_score",
     "SemiGlobalResult", "semiglobal_align", "semiglobal_score",

@@ -25,10 +25,10 @@ padding-free algebra composes:
   written, freezing each lane at its own final row while the rest of
   the batch keeps sweeping (the "all-padding tail rows" case), with
   none of the masked-ufunc (``where=``) overhead;
-* per-lane boundary regimes need no special cases — local/global/forced
-  boundaries live entirely in each lane's packed H/E/F state, so one
-  batch can mix them (only the Smith-Waterman zero floor is a per-row
-  branch, applied through a per-lane ``local`` mask);
+* global boundary regimes (plain, gap-seeded, forced) need no special
+  cases — they live entirely in each lane's packed H/E/F state; only the
+  Smith-Waterman zero floor is a per-row branch, so every lane of one
+  batch shares ``local`` as well as the scoring scheme;
 * best/watch/saved-rows/taps fold per lane with the serial kernel's
   exact tie-break rules, reading only the lane's real columns.
 
@@ -37,11 +37,10 @@ descending remaining work are greedily grouped while the padded-cell
 overhead stays under a budget, so one huge pair cannot drag a swarm of
 tiny ones through its padding.
 
-:class:`BatchedRowSweeper` is the single-pair facade registered as the
-``batched`` kernel backend (a K=1 lane through the same fused code
-path), which is what lets the registry-wide conformance suite hold the
-batched arithmetic to the bit-identity contract on every boundary
-regime the serial kernel accepts.
+Each fused row is :func:`~repro.align.rowscan.row_step` over the
+``(kact, N+1)`` active block — the same body the single-pair sweeper
+runs, so the lane path is held to the serial kernel's bit-identity
+contract by construction (and by the conformance suite's K=1 lane).
 """
 
 from __future__ import annotations
@@ -50,8 +49,7 @@ import numpy as np
 
 from repro.constants import NEG_INF, SCORE_DTYPE
 from repro.errors import ConfigError
-from repro.align.kernels import KernelBackend, register_backend
-from repro.align.rowscan import RowSweeper
+from repro.align.rowscan import row_step
 
 
 def sweep_lanes(lanes, nrows: int | None = None) -> int:
@@ -59,7 +57,8 @@ def sweep_lanes(lanes, nrows: int | None = None) -> int:
     when ``None``) in one fused batch of row dispatches.
 
     Every lane must share one scoring scheme (the row operations use its
-    penalties as scalars); boundary regimes, lengths, and tracking
+    penalties as scalars) and one ``local`` flag (the zero floor is a
+    per-row branch); global boundary regimes, lengths, and tracking
     options may differ per lane.  Updates each lane in place — H/E/F,
     ``i``/``cells``, best/watch, saved rows, taps — exactly as that many
     ``advance`` calls on the serial kernel would have.  Returns the
@@ -67,12 +66,16 @@ def sweep_lanes(lanes, nrows: int | None = None) -> int:
     """
     if not lanes:
         return 0
-    scheme = lanes[0].scheme
+    scheme, local = lanes[0].scheme, lanes[0].local
     for lane in lanes[1:]:
         if lane.scheme != scheme:
             raise ConfigError(
                 "batched lanes must share one scoring scheme; bucket by "
                 "scheme first (plan_buckets does)")
+        if lane.local != local:
+            raise ConfigError(
+                "batched lanes must share one local/global regime; bucket "
+                "by regime first (plan_buckets does)")
     todo = [lane.m - lane.i for lane in lanes]
     if nrows is not None:
         if nrows < 0:
@@ -112,7 +115,6 @@ def sweep_lanes(lanes, nrows: int | None = None) -> int:
     lut = np.full((K * 5, N), SCORE_DTYPE(scheme.mismatch),
                   dtype=SCORE_DTYPE)
     flat_codes = np.zeros((K, S), dtype=np.intp)
-    local_vec = np.zeros(K, dtype=bool)
     for k, lane in enumerate(lanes):
         w = lane.n + 1
         Hb[k, :w] = lane.H
@@ -123,7 +125,6 @@ def sweep_lanes(lanes, nrows: int | None = None) -> int:
         if sk:
             flat_codes[k, :sk] = (
                 lane.codes0[lane.i:lane.i + sk].astype(np.intp) + 5 * k)
-        local_vec[k] = lane.local
 
     track_vec = np.array([lane.track_best for lane in lanes], dtype=bool)
     watch_pend = np.array([lane.watch_value is not None
@@ -153,39 +154,15 @@ def sweep_lanes(lanes, nrows: int | None = None) -> int:
     Xb = np.empty((K, N + 1), dtype=SCORE_DTYPE)
     Tb = np.empty((K, N + 1), dtype=SCORE_DTYPE)
     sub = np.empty((K, N), dtype=SCORE_DTYPE)
-    all_local = bool(local_vec.all())
-    any_local = bool(local_vec.any())
     for s in range(1, S + 1):
         kact = int(kact_per[s - 1])
         # Views over the active prefix; everything below row kact stays
         # frozen at its own final state.
-        Hs, Es, Fs = Hb[:kact], Eb[:kact], Fb[:kact]
-        Xs, Ts = Xb[:kact], Tb[:kact]
-        # F (vertical) update.
-        np.subtract(Fs, gext, out=Xs)
-        np.subtract(Hs, gfirst, out=Ts)
-        np.maximum(Xs, Ts, out=Fs)
-        # X: every non-E source of H, all lanes in one gather + two ops.
+        Hs, Fs = Hb[:kact], Fb[:kact]
+        # Every lane's substitution vector in one gather.
         np.take(lut, flat_codes[:kact, s - 1], axis=0, out=sub[:kact])
-        np.add(Hs[:, :-1], sub[:kact], out=Xs[:, 1:])
-        np.maximum(Xs[:, 1:], Fs[:, 1:], out=Xs[:, 1:])
-        if all_local:
-            Xs[:, 0] = 0
-            Fs[:, 0] = NEG_INF
-            np.maximum(Xs, 0, out=Xs)
-        elif any_local:
-            loc = local_vec[:kact]
-            Xs[:, 0] = np.where(loc, 0, Fs[:, 0])
-            Fs[:, 0] = np.where(loc, NEG_INF, Fs[:, 0])
-            np.maximum(Xs, 0, out=Xs, where=loc[:, None])
-        else:
-            Xs[:, 0] = Fs[:, 0]
-        # E via the prefix-max scan, batched along axis 1.
-        np.add(Xs, ext_ramp, out=Ts)
-        np.maximum.accumulate(Ts, axis=1, out=Ts)
-        np.subtract(Ts[:, :-1], egap, out=Es[:, 1:])
-        Es[:, 0] = NEG_INF
-        np.maximum(Xs, Es, out=Hs)
+        row_step(Hs, Fs, Hs, Eb[:kact], Fs, Xb[:kact], Tb[:kact],
+                 sub[:kact], gext, gfirst, ext_ramp, egap, local)
 
         if need_rowmax:
             # Per-lane row maximum (padded columns excluded).
@@ -244,8 +221,9 @@ def plan_buckets(lanes, *, max_lanes: int = 64,
     greedily packed while the bucket's padding waste — the fraction of
     padded cells that are not real work — stays at or under
     ``max_waste`` and the bucket holds at most ``max_lanes`` lanes.
-    Lanes with different scoring schemes never share a bucket; finished
-    lanes are skipped.  Deterministic for a given lane list.
+    Lanes with different scoring schemes or local/global regimes never
+    share a bucket; finished lanes are skipped.  Deterministic for a
+    given lane list.
     """
     if max_lanes < 1:
         raise ConfigError("max_lanes must be positive")
@@ -257,13 +235,14 @@ def plan_buckets(lanes, *, max_lanes: int = 64,
     buckets: list[list[int]] = []
     cur: list[int] = []
     smax = nmax = cells = 0
-    cur_scheme = None
+    cur_key = None
     for k in order:
         lane = lanes[k]
         s = lane.m - lane.i
         if s <= 0:
             continue
-        if cur and len(cur) < max_lanes and lane.scheme == cur_scheme:
+        key = (lane.scheme, lane.local)
+        if cur and len(cur) < max_lanes and key == cur_key:
             new_nmax = max(nmax, lane.n)
             new_cells = cells + s * lane.n
             padded = (len(cur) + 1) * smax * new_nmax
@@ -275,7 +254,7 @@ def plan_buckets(lanes, *, max_lanes: int = 64,
             buckets.append(cur)
         cur = [k]
         smax, nmax, cells = s, lane.n, s * lane.n
-        cur_scheme = lane.scheme
+        cur_key = key
     if cur:
         buckets.append(cur)
     return buckets
@@ -310,30 +289,3 @@ def sweep_batched(lanes, *, max_lanes: int = 64, max_waste: float = 0.5,
         metrics.histogram("kernel.batch.padding_waste").observe(waste)
     return {"lanes": sum(len(b) for b in buckets), "buckets": len(buckets),
             "cells": real, "padded_cells": padded, "padding_waste": waste}
-
-
-class BatchedRowSweeper(RowSweeper):
-    """Single-pair facade of the batched kernel (one K=1 lane).
-
-    Accepts everything :class:`RowSweeper` accepts and produces
-    bit-identical observables through the fused batch code path — the
-    degenerate batch the conformance suite pins, and the lane type the
-    registry hands out for ``--kernel batched``.  Multi-lane throughput
-    comes from :func:`sweep_lanes` / :func:`sweep_batched` over many
-    constructed lanes (plain ``RowSweeper`` lanes work too).
-    """
-
-    def _advance(self, nrows: int) -> int:
-        sweep_lanes([self], nrows)
-        return nrows
-
-
-register_backend(KernelBackend(
-    name="batched",
-    factory=BatchedRowSweeper,
-    serial=True,
-    interior_taps=True,
-    batch=True,
-    description="rowscan with a leading batch axis: K pairs per NumPy "
-                "dispatch (sweep_batched fuses many lanes; the registered "
-                "factory is the single-pair facade)"))

@@ -5,9 +5,10 @@ recursion bottom out here once a sub-problem fits comfortably in memory
 (partitions are bounded by ``max_partition_size``, Section IV-F, so this
 stays O(1) memory per partition and O(m+n) overall).
 
-It runs the same scan-resolved row recurrence as :mod:`repro.align.rowscan`
-but materializes all H/E/F rows, then recovers the path with the exact
-affine traceback shared with the reference implementation.
+Each row is :func:`repro.align.rowscan.row_step` reading row ``i-1`` and
+writing row ``i`` of the materialized H/E/F matrices; the path is then
+recovered with the exact affine traceback shared with the reference
+implementation.
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ import numpy as np
 from repro.constants import NEG_INF, SCORE_DTYPE, TYPE_GAP_S0, TYPE_GAP_S1, TYPE_MATCH
 from repro.errors import AlignmentError
 from repro.align.alignment import Alignment
+from repro.align.profile import build_profile
 from repro.align.reference import DPMatrices, _traceback, best_cell
+from repro.align.rowscan import row_step
 from repro.align.scoring import ScoringScheme
 from repro.sequences.sequence import N_CODE, Sequence
 
@@ -52,30 +55,13 @@ def dp_matrices(codes0: np.ndarray, codes1: np.ndarray, scheme: ScoringScheme,
         if start_gap == TYPE_GAP_S1:
             F[0, 0] = 0
 
-    sub_lut = np.full((5, n), SCORE_DTYPE(scheme.mismatch), dtype=SCORE_DTYPE)
-    for code in range(4):
-        sub_lut[code, codes1 == code] = SCORE_DTYPE(scheme.match)
-    sub_lut[N_CODE, :] = SCORE_DTYPE(scheme.mismatch)
-
+    sub_lut = build_profile(scheme, codes1)
+    egap = gfirst + ext_ramp[:-1]
     X = np.empty(n + 1, dtype=SCORE_DTYPE)
     T = np.empty(n + 1, dtype=SCORE_DTYPE)
     for i in range(1, m + 1):
-        sub = sub_lut[codes0[i - 1]]
-        np.maximum(F[i - 1] - gext, H[i - 1] - gfirst, out=F[i])
-        np.add(H[i - 1, :-1], sub, out=X[1:])
-        np.maximum(X[1:], F[i, 1:], out=X[1:])
-        if local:
-            X[0] = 0
-            F[i, 0] = NEG_INF
-            np.maximum(X, 0, out=X)
-        else:
-            X[0] = F[i, 0]
-        np.add(X, ext_ramp, out=T)
-        np.maximum.accumulate(T, out=T)
-        E[i, 1:] = T[:-1]
-        E[i, 1:] -= gfirst + ext_ramp[:-1]
-        E[i, 0] = NEG_INF
-        np.maximum(X, E[i], out=H[i])
+        row_step(H[i - 1], F[i - 1], H[i], E[i], F[i], X, T,
+                 sub_lut[codes0[i - 1]], gext, gfirst, ext_ramp, egap, local)
     return DPMatrices(H, E, F)
 
 

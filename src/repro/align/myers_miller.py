@@ -44,7 +44,6 @@ from repro.constants import TYPE_GAP_S0, TYPE_GAP_S1, TYPE_MATCH, swap_gap_type
 from repro.errors import ConfigError, MatchingError
 from repro.align import full_matrix
 from repro.align.alignment import Alignment
-from repro.align.kernels import get_backend
 from repro.align.rowscan import RowSweeper
 from repro.align.scoring import ScoringScheme
 
@@ -81,16 +80,12 @@ class MMConfig:
     balanced: bool = True
     orthogonal: bool = True
     strip: int = 64
-    kernel: str = "rowscan"
 
     def __post_init__(self) -> None:
         if self.base_max_cells < 4:
             raise ConfigError("base_max_cells must be at least 4")
         if self.strip < 1:
             raise ConfigError("strip width must be positive")
-        if not get_backend(self.kernel).serial:
-            raise ConfigError(
-                f"kernel {self.kernel!r} is not an in-process backend")
 
 
 def degenerate_alignment(m: int, n: int) -> Alignment:
@@ -101,28 +96,23 @@ def degenerate_alignment(m: int, n: int) -> Alignment:
     return Alignment(0, 0, ops)
 
 
-def _sweep(kernel: str, codes0, codes1, scheme, **kwargs) -> RowSweeper:
-    """A serial sweep on the configured kernel backend."""
-    return get_backend(kernel).make(codes0, codes1, scheme, **kwargs)
-
-
-def _forward_vectors(codes0, codes1, scheme, start_gap, stats,
-                     kernel: str = "rowscan") -> tuple[np.ndarray, np.ndarray]:
+def _forward_vectors(codes0, codes1, scheme, start_gap,
+                     stats) -> tuple[np.ndarray, np.ndarray]:
     """CC (H) and DD (F) on the last row of the top half."""
-    sweep = _sweep(kernel, codes0, codes1, scheme, start_gap=start_gap).run()
+    sweep = RowSweeper(codes0, codes1, scheme, start_gap=start_gap).run()
     stats.cells_forward += sweep.cells
     return sweep.H.astype(np.int64), sweep.F.astype(np.int64)
 
 
-def _tail_vectors(codes0, codes1, scheme, end_gap, stats,
-                  kernel: str = "rowscan") -> tuple[np.ndarray, np.ndarray]:
+def _tail_vectors(codes0, codes1, scheme, end_gap,
+                  stats) -> tuple[np.ndarray, np.ndarray]:
     """Adjusted RR (H) and SS (F) tail vectors, indexed by original column.
 
     Computed as a forward sweep over reversed sequences; forced when the
     end state is gap-typed, then de-biased by G_open.
     """
-    sweep = _sweep(kernel, codes0[::-1], codes1[::-1], scheme,
-                   start_gap=end_gap, forced=end_gap != TYPE_MATCH).run()
+    sweep = RowSweeper(codes0[::-1], codes1[::-1], scheme,
+                       start_gap=end_gap, forced=end_gap != TYPE_MATCH).run()
     stats.cells_reverse += sweep.cells
     bias = scheme.gap_open if end_gap != TYPE_MATCH else 0
     rr = sweep.H[::-1].astype(np.int64) - bias
@@ -160,10 +150,10 @@ def _match_orthogonal(codes0_bottom, codes1, scheme, end_gap, cc, dd, goal,
     # Transposed frame: rows = reversed S1 columns, columns = reversed
     # bottom rows; original F becomes the sweep's E, so the tap records
     # exactly (H, F-original) at the partition's split row.
-    sweep = _sweep(config.kernel, codes1[::-1], codes0_bottom[::-1], scheme,
-                   start_gap=swap_gap_type(end_gap),
-                   forced=end_gap != TYPE_MATCH,
-                   tap_columns=np.array([h]))
+    sweep = RowSweeper(codes1[::-1], codes0_bottom[::-1], scheme,
+                       start_gap=swap_gap_type(end_gap),
+                       forced=end_gap != TYPE_MATCH,
+                       tap_columns=np.array([h]))
     # Transposed row p corresponds to original column n - p; row 0 is the
     # boundary (original column n) and is matched before any strip runs.
     next_row = 0
@@ -228,14 +218,12 @@ def find_midpoint(codes0: np.ndarray, codes1: np.ndarray,
 def _find_midpoint(codes0, codes1, scheme, start_gap, end_gap, goal, config,
                    stats) -> tuple[int, int, int, int]:
     r = codes0.size // 2
-    cc, dd = _forward_vectors(codes0[:r], codes1, scheme, start_gap, stats,
-                              config.kernel)
+    cc, dd = _forward_vectors(codes0[:r], codes1, scheme, start_gap, stats)
     if config.orthogonal and goal is not None:
         j, join, top_value = _match_orthogonal(
             codes0[r:], codes1, scheme, end_gap, cc, dd, goal, config, stats)
     else:
-        rr, ss = _tail_vectors(codes0[r:], codes1, scheme, end_gap, stats,
-                               config.kernel)
+        rr, ss = _tail_vectors(codes0[r:], codes1, scheme, end_gap, stats)
         j, join, top_value = _match_full(cc, dd, rr, ss, scheme.gap_open, goal)
     return r, j, join, top_value
 
@@ -313,10 +301,9 @@ def _mm_align(codes0, codes1, scheme, start_gap, end_gap, goal, config,
     if goal is None:
         # One unguided split also reveals the optimum.
         r = m // 2
-        cc, dd = _forward_vectors(codes0[:r], codes1, scheme, start_gap, stats,
-                                  config.kernel)
-        rr, ss = _tail_vectors(codes0[r:], codes1, scheme, end_gap, stats,
-                               config.kernel)
+        cc, dd = _forward_vectors(codes0[:r], codes1, scheme, start_gap,
+                                  stats)
+        rr, ss = _tail_vectors(codes0[r:], codes1, scheme, end_gap, stats)
         j_star, join, top_value = _match_full(cc, dd, rr, ss,
                                               scheme.gap_open, None)
         goal = int(max((cc + rr).max(), (dd + ss + scheme.gap_open).max()))
@@ -342,8 +329,8 @@ def _mm_align(codes0, codes1, scheme, start_gap, end_gap, goal, config,
 
 
 def mm_score(codes0: np.ndarray, codes1: np.ndarray,
-             scheme: ScoringScheme, *, kernel: str = "rowscan") -> int:
+             scheme: ScoringScheme) -> int:
     """Global alignment score in linear space (one forward sweep)."""
-    sweep = _sweep(kernel, np.asarray(codes0, np.uint8),
-                   np.asarray(codes1, np.uint8), scheme).run()
+    sweep = RowSweeper(np.asarray(codes0, np.uint8),
+                       np.asarray(codes1, np.uint8), scheme).run()
     return int(sweep.H[-1])

@@ -14,6 +14,13 @@ floor, and the column-0 boundary).  Replacing H by X inside the scan is
 valid because opening a new gap *inside* an existing gap never wins when
 ``G_first >= G_ext`` (asserted by :class:`ScoringScheme`).
 
+The row body lives in exactly one place, :func:`row_step`, which runs
+over arrays of shape ``(..., n+1)``: the same code advances one pair
+(:class:`RowSweeper`), a ``(K, n+1)`` block of lanes
+(:func:`repro.align.batched.sweep_lanes`), an edge-seeded tile
+(:func:`repro.align.tiled.tile_sweep`) and a materialized matrix row
+(:func:`repro.align.full_matrix.dp_matrices`).
+
 Every sweep the pipeline performs maps onto this kernel:
 
 * Stage 1 is a local forward sweep (rows = S0).
@@ -39,6 +46,55 @@ from repro.constants import NEG_INF, SCORE_DTYPE, TYPE_GAP_S0, TYPE_GAP_S1, TYPE
 from repro.errors import ConfigError
 from repro.align.profile import query_profile
 from repro.align.scoring import ScoringScheme
+
+
+def row_step(Hp, Fp, H, E, F, X, T, sub, gext, gfirst, ext_ramp, egap,
+             local, left=None, gopen=None) -> None:
+    """Advance one Gotoh row over arrays of shape ``(..., n+1)``.
+
+    ``Hp``/``Fp`` are the previous row; in-place callers pass ``H``/``F``
+    again (the previous H is read before ``H`` is written).  ``X`` and
+    ``T`` are scratch of the row's shape, ``sub`` the ``(..., n)``
+    substitution scores, ``ext_ramp`` = ``arange(n+1) * G_ext`` and
+    ``egap`` = ``G_first + ext_ramp[:-1]``.
+
+    Column 0 is the sweep's own boundary unless ``left=(x, e, h)`` seeds
+    it (a tile's incoming edge): ``x`` is the H source the in-row scan
+    starts from, ``e`` the incoming horizontal-gap value — it enters the
+    scan as a virtual source ``e + G_open`` (``gopen``) — and ``h`` the H
+    the boundary column exposes.  ``local`` applies the Smith-Waterman
+    zero floor to ``X[..., 1:]`` and pins ``F[..., 0]`` to -inf (column 0
+    is never a vertical-gap source in a local sweep).
+    """
+    # F (vertical) update — purely element-wise, includes column 0.
+    # X/T are free at this point, so the update runs entirely in the
+    # caller's preallocated scratch (no per-row temporaries).
+    np.subtract(Fp, gext, out=X)
+    np.subtract(Hp, gfirst, out=T)
+    np.maximum(X, T, out=F)
+    # X: every non-E source of H.
+    Xc = X[..., 1:]
+    np.add(Hp[..., :-1], sub, out=Xc)
+    np.maximum(Xc, F[..., 1:], out=Xc)
+    if left is not None:
+        X[..., 0] = left[0]
+    elif local:
+        X[..., 0] = 0
+    else:
+        X[..., 0] = F[..., 0]
+    if local:
+        F[..., 0] = NEG_INF
+        np.maximum(Xc, 0, out=Xc)
+    # E via the prefix-max scan.
+    np.add(X, ext_ramp, out=T)
+    if left is not None:
+        T[..., 0] = np.maximum(T[..., 0], left[1] + gopen)
+    np.maximum.accumulate(T, axis=-1, out=T)
+    np.subtract(T[..., :-1], egap, out=E[..., 1:])
+    E[..., 0] = NEG_INF if left is None else left[1]
+    np.maximum(X, E, out=H)
+    if left is not None:
+        H[..., 0] = left[2]
 
 
 class RowSweeper:
@@ -205,28 +261,8 @@ class RowSweeper:
         stop = self.i + nrows
         while self.i < stop:
             i = self.i + 1
-            sub = self._sub_lut[self.codes0[i - 1]]
-            # F (vertical) update — purely element-wise, includes column 0.
-            # X/T are free at this point, so the update runs entirely in
-            # the preallocated scratch (no per-row temporaries).
-            np.subtract(F, gext, out=X)
-            np.subtract(H, gfirst, out=T)
-            np.maximum(X, T, out=F)
-            # X: every non-E source of H.
-            np.add(H[:-1], sub, out=X[1:])
-            np.maximum(X[1:], F[1:], out=X[1:])
-            if local:
-                X[0] = 0
-                F[0] = NEG_INF
-                np.maximum(X, 0, out=X)
-            else:
-                X[0] = F[0]
-            # E via the prefix-max scan.
-            np.add(X, ext_ramp, out=T)
-            np.maximum.accumulate(T, out=T)
-            np.subtract(T[:-1], egap, out=E[1:])
-            E[0] = NEG_INF
-            np.maximum(X, E, out=H)
+            row_step(H, F, H, E, F, X, T, self._sub_lut[self.codes0[i - 1]],
+                     gext, gfirst, ext_ramp, egap, local)
             self.i = i
 
             if self.track_best or self.watch_value is not None:

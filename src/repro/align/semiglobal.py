@@ -9,8 +9,12 @@ anchor one sequence inside another without local alignment's interior
 zero-resets — e.g. placing a contig against a chromosome.
 
 Built on the same vectorized machinery as everything else: a
-:class:`RowSweeper`-style full-matrix pass with free boundaries and the
-shared affine traceback.
+full-matrix pass with free boundaries and the shared affine traceback.
+The row body is written out here rather than calling
+:func:`repro.align.rowscan.row_step`: the free left column pins
+``F(i, 0)`` like a local sweep but has no zero floor on the interior, a
+combination ``row_step``'s ``local`` flag does not express and that
+would need a flag serving only this caller.
 
 Convention: the *empty overlap* — both sequences consumed entirely by
 free leading/trailing gaps — is a valid semi-global alignment of score 0,
@@ -28,9 +32,10 @@ from repro.constants import NEG_INF, SCORE_DTYPE, TYPE_MATCH
 from repro.errors import AlignmentError
 from repro.align.alignment import Alignment
 from repro.align.full_matrix import _sub_matrix
+from repro.align.profile import build_profile
 from repro.align.reference import DPMatrices, _traceback
 from repro.align.scoring import ScoringScheme
-from repro.sequences.sequence import N_CODE, Sequence
+from repro.sequences.sequence import Sequence
 
 
 @dataclass(frozen=True)
@@ -63,10 +68,7 @@ def _semiglobal_matrices(codes0: np.ndarray, codes1: np.ndarray,
     E[0] = NEG_INF
     F[0] = NEG_INF
 
-    sub_lut = np.full((5, n), SCORE_DTYPE(scheme.mismatch), dtype=SCORE_DTYPE)
-    for code in range(4):
-        sub_lut[code, codes1 == code] = SCORE_DTYPE(scheme.match)
-    sub_lut[N_CODE, :] = SCORE_DTYPE(scheme.mismatch)
+    sub_lut = build_profile(scheme, codes1)
 
     X = np.empty(n + 1, dtype=SCORE_DTYPE)
     T = np.empty(n + 1, dtype=SCORE_DTYPE)

@@ -11,12 +11,12 @@ The distributed substrate under two systems of this repo:
   and :func:`tiled_local_sweep` proves that the decomposed computation is
   bit-identical to the monolithic kernel.
 
-The per-row recurrence is the same scan-resolved body as
-:mod:`repro.align.rowscan`; the only addition is the left boundary: an
-incoming horizontal-gap value ``E_in`` enters the in-row scan as a virtual
-source of value ``E_in + G_open`` at the boundary column (extending the
-run costs ``G_ext`` per column; re-deriving the scan's closed form with
-that term folds exactly into ``max(X[0], E_in + G_open)``).
+Each row is :func:`repro.align.rowscan.row_step` with its ``left``
+edge seeded: an incoming horizontal-gap value ``E_in`` enters the in-row
+scan as a virtual source of value ``E_in + G_open`` at the boundary
+column (extending the run costs ``G_ext`` per column; re-deriving the
+scan's closed form with that term folds exactly into
+``max(X[0], E_in + G_open)``).
 """
 
 from __future__ import annotations
@@ -27,8 +27,9 @@ import numpy as np
 
 from repro.constants import NEG_INF, SCORE_DTYPE
 from repro.errors import ConfigError
+from repro.align.profile import build_profile
+from repro.align.rowscan import row_step
 from repro.align.scoring import ScoringScheme
-from repro.sequences.sequence import N_CODE
 
 
 @dataclass(frozen=True)
@@ -110,11 +111,11 @@ def tile_sweep(codes0: np.ndarray, codes1: np.ndarray, scheme: ScoringScheme,
     gfirst = SCORE_DTYPE(scheme.gap_first)
     gopen = SCORE_DTYPE(scheme.gap_open)
     ext_ramp = np.arange(w + 1, dtype=SCORE_DTYPE) * gext
-
-    sub_lut = np.full((5, w), SCORE_DTYPE(scheme.mismatch), dtype=SCORE_DTYPE)
-    for code in range(4):
-        sub_lut[code, codes1 == code] = SCORE_DTYPE(scheme.match)
-    sub_lut[N_CODE, :] = SCORE_DTYPE(scheme.mismatch)
+    egap = gfirst + ext_ramp[:-1]
+    # Uncached: wavefront tiles slice fresh column ranges that would only
+    # churn the shared profile LRU.
+    sub_lut = build_profile(scheme, codes1)
+    left_X = edges.left_H if edges.left_X is None else edges.left_X
 
     H = edges.top_H.astype(SCORE_DTYPE, copy=True)
     E = edges.top_E.astype(SCORE_DTYPE, copy=True)
@@ -128,27 +129,13 @@ def tile_sweep(codes0: np.ndarray, codes1: np.ndarray, scheme: ScoringScheme,
     T = np.empty(w + 1, dtype=SCORE_DTYPE)
 
     for i in range(1, h + 1):
-        sub = sub_lut[codes0[i - 1]]
-        np.maximum(F - gext, H - gfirst, out=F)
-        np.add(H[:-1], sub, out=X[1:])
-        np.maximum(X[1:], F[1:], out=X[1:])
-        X[0] = (edges.left_H if edges.left_X is None else edges.left_X)[i - 1]
-        if local:
-            # Column 0 belongs to the left neighbour: its F slot is never
-            # read downstream (pinned like the monolithic kernel) and the
-            # local zero floor applies only to this tile's own cells —
-            # restarts at the boundary column are the neighbour's to take.
-            F[0] = NEG_INF
-            np.maximum(X[1:], 0, out=X[1:])
-        # In-row E scan, seeded with the incoming horizontal run.
-        np.add(X, ext_ramp, out=T)
-        T[0] = max(T[0], SCORE_DTYPE(edges.left_E[i - 1]) + gopen)
-        np.maximum.accumulate(T, out=T)
-        E[1:] = T[:-1]
-        E[1:] -= gfirst + ext_ramp[:-1]
-        E[0] = edges.left_E[i - 1]
-        np.maximum(X, E, out=H)
-        H[0] = edges.left_H[i - 1]
+        # Column 0 belongs to the left neighbour: the local zero floor
+        # applies only to this tile's own cells — restarts at the
+        # boundary column are the neighbour's to take.
+        left = (left_X[i - 1], SCORE_DTYPE(edges.left_E[i - 1]),
+                edges.left_H[i - 1])
+        row_step(H, F, H, E, F, X, T, sub_lut[codes0[i - 1]], gext, gfirst,
+                 ext_ramp, egap, local, left=left, gopen=gopen)
         right_H[i - 1] = H[w]
         right_E[i - 1] = E[w]
         if track_best:

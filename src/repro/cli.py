@@ -24,7 +24,6 @@ import argparse
 import sys
 
 from repro.errors import ConfigError, StorageError
-from repro.align.kernels import serial_kernel_names
 from repro.align.scoring import ScoringScheme
 from repro.core.config import PipelineConfig, small_config
 from repro.core.pipeline import CUDAlign
@@ -103,15 +102,14 @@ def cmd_align(args: argparse.Namespace) -> int:
     if args.paper_grids:
         config = PipelineConfig(scheme=_scheme(args), sra_bytes=args.sra_bytes,
                                 max_partition_size=args.max_partition_size,
-                                executor=args.executor, kernel=args.kernel,
-                                workers=args.workers,
+                                executor=args.executor, workers=args.workers,
                                 checkpoint_every_rows=args.checkpoint_every)
     else:
         config = small_config(
             block_rows=args.block_rows, n=len(s1), sra_rows=args.sra_rows,
             max_partition_size=args.max_partition_size,
             scheme=_scheme(args), executor=args.executor,
-            kernel=args.kernel, workers=args.workers,
+            workers=args.workers,
             checkpoint_every_rows=args.checkpoint_every)
 
     observer = ProgressRenderer(sys.stderr) if args.progress else None
@@ -456,12 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="execution model: the in-process sweep or the "
                               "process-pool wavefront tile grid "
                               "(bit-identical; size the pool with --workers)")
-    p_align.add_argument("--kernel", choices=serial_kernel_names(),
-                         default="rowscan",
-                         help="in-process sweep kernel backend "
-                              "(bit-identical; rowscan is the per-row "
-                              "reference, diagonal the anti-diagonal "
-                              "vectorization)")
     p_align.add_argument("--workers", type=int, default=1)
     p_align.add_argument("--workdir", default=None,
                          help="directory for the disk-backed SRA")

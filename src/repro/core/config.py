@@ -40,13 +40,9 @@ class PipelineConfig:
             tile grids on a process pool of ``workers`` sweep workers and
             fans Stage-4/5 partitions across the same pool.  Both are
             bit-identical; the choice is purely a performance knob.
-        kernel: the in-process sweep kernel, by registry name
-            (:func:`repro.align.kernels.serial_kernel_names`) —
-            ``"rowscan"`` is the per-row reference, ``"diagonal"`` the
-            anti-diagonal vectorization.  Composes with ``executor``:
-            sweeps the wavefront grid does not take (small matrices,
-            interior taps) fall back to this kernel.  All backends are
-            bit-identical; the choice is purely a performance knob.
+            Sweeps the wavefront grid does not take (small matrices,
+            interior taps) run on the serial kernel and tick
+            ``kernel.fallback.<reason>``.
         workers: CPU parallelism — sweep processes under the
             ``"wavefront"`` executor, threads for the partition-parallel
             stages under ``"serial"``.
@@ -68,7 +64,6 @@ class PipelineConfig:
     stage4_orthogonal: bool = True
     stage4_balanced: bool = True
     executor: str = "serial"
-    kernel: str = "rowscan"
     workers: int = 1
     checkpoint_every_rows: int | None = None
 
@@ -80,11 +75,6 @@ class PipelineConfig:
             raise ConfigError(
                 f"executor must be one of {self.EXECUTORS}, "
                 f"got {self.executor!r}")
-        from repro.align.kernels import serial_kernel_names
-        if self.kernel not in serial_kernel_names():
-            raise ConfigError(
-                f"kernel must be one of {list(serial_kernel_names())}, "
-                f"got {self.kernel!r}")
         if self.checkpoint_every_rows is not None and self.checkpoint_every_rows < 1:
             raise ConfigError("checkpoint interval must be positive")
         if self.sra_bytes < 0 or self.sca_bytes < 0:

@@ -121,7 +121,6 @@ def run_stage1(s0: Sequence, s1: Sequence, config: PipelineConfig,
             sweep = sweeper
         else:
             sweep = make_sweeper(s0.codes, s1.codes, config.scheme,
-                                 kernel=config.kernel,
                                  executor=executor, metrics=tel.metrics,
                                  local=True, track_best=True, save_rows=rows,
                                  tracer=tel.tracer)

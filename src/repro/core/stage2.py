@@ -158,7 +158,7 @@ def _run_stage2(s0: Sequence, s1: Sequence, config: PipelineConfig,
 
         sweep = make_sweeper(
             s1.codes[:w][::-1], s0.codes[r_row:anchor.i][::-1], scheme,
-            kernel=config.kernel, executor=executor, metrics=tel.metrics,
+            executor=executor, metrics=tel.metrics,
             start_gap=swap_gap_type(anchor.type), forced=anchor.type != TYPE_MATCH,
             tap_columns=np.array([h]), save_rows=save_rows or None,
             watch_value=goal, tracer=tel.tracer)

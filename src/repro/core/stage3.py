@@ -108,8 +108,7 @@ def _split_band(s0: Sequence, s1: Sequence, config: PipelineConfig,
         col_E = line.G.astype(np.int64)
 
         sweep = make_sweeper(s0.codes[anchor.i:end.i], s1.codes[anchor.j:jc],
-                             scheme, kernel=config.kernel,
-                             executor=executor, metrics=tel.metrics,
+                             scheme, executor=executor, metrics=tel.metrics,
                              start_gap=anchor.type,
                              tap_columns=np.array([w]), tracer=tracer)
         found: Crosspoint | None = None

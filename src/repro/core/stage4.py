@@ -107,8 +107,7 @@ def run_stage4(s0: Sequence, s1: Sequence, config: PipelineConfig,
     tel = telemetry if telemetry is not None else NULL_TELEMETRY
     mm_config = MMConfig(orthogonal=config.stage4_orthogonal,
                          balanced=config.stage4_balanced,
-                         strip=max(1, config.max_partition_size),
-                         kernel=config.kernel)
+                         strip=max(1, config.max_partition_size))
     limit = config.max_partition_size
     iterations: list[Stage4Iteration] = []
     total_cells = 0

@@ -49,9 +49,7 @@ def align_partition(s0: Sequence, s1: Sequence, partition: Partition,
     """Exact alignment of one partition; returns (global path, cells).
 
     Partitions here are at most ``max_partition_size`` per side, so the
-    O(1)-memory full-matrix aligner handles them directly; the
-    ``config.kernel`` backend selection applies to the sweep stages
-    (1-4), not to these constant-size base cases.
+    O(1)-memory full-matrix aligner handles them directly.
     """
     start, end = partition.start, partition.end
     if partition.degenerate:

@@ -187,6 +187,10 @@ def open_json(text: str, *, expect_kind: str | None = None,
             or "payload" not in obj or "sha256" not in obj):
         raise IntegrityError("artifact carries no integrity envelope",
                              kind=expect_kind, path=path)
+    if obj.get("version") != RECORD_VERSION:
+        raise IntegrityError(
+            f"unsupported artifact envelope version {obj.get('version')!r}",
+            kind=expect_kind, path=path)
     kind = obj.get("kind")
     if expect_kind is not None and kind != expect_kind:
         raise IntegrityError(f"artifact kind mismatch: file holds {kind!r}",

@@ -33,8 +33,6 @@ import numpy as np
 
 from repro.constants import NEG_INF, SCORE_DTYPE, TYPE_MATCH
 from repro.errors import ConfigError
-from repro.align.kernels import (KernelBackend, get_backend, register_backend,
-                                 serial_kernel_names)
 from repro.align.rowscan import RowSweeper
 from repro.align.scoring import ScoringScheme
 from repro.parallel.wavefront import (WavefrontExecutor, boundary_column,
@@ -295,36 +293,22 @@ class ParallelRowSweeper(RowSweeper):
             pass
 
 
-register_backend(KernelBackend(
-    name="wavefront",
-    factory=ParallelRowSweeper,
-    serial=False,
-    interior_taps=False,
-    description="tile-grid sweep scheduled along external diagonals on a "
-                "process pool (inline without an executor)"))
-
-
 def make_sweeper(codes0: np.ndarray, codes1: np.ndarray,
-                 scheme: ScoringScheme, *, kernel: str = "rowscan",
+                 scheme: ScoringScheme, *,
                  executor: WavefrontExecutor | None = None,
                  metrics=None, strip_cols: int | None = None,
                  **kwargs) -> RowSweeper:
-    """Build the right sweeper for a sweep: the ``wavefront`` backend
+    """Build the right sweeper for a sweep: a :class:`ParallelRowSweeper`
     when an executor is attached and the matrix is worth the dispatch,
-    the configured in-process ``kernel`` otherwise.
+    the serial :class:`~repro.align.rowscan.RowSweeper` otherwise.
 
-    The fallbacks are exact, not approximate — every registered backend
-    is bit-identical — so callers never need to care which one they got.
-    They do get a *signal*, though: when an executor was requested but
-    the sweep falls back to the serial kernel, the ``kernel.fallback``
-    counter (plus ``kernel.fallback.<reason>``) ticks on ``metrics``.
+    The fallbacks are exact, not approximate — the tile grid is
+    bit-identical to the serial kernel — so callers never need to care
+    which one they got.  They do get a *signal*, though: when an
+    executor was requested but the sweep falls back to the serial
+    kernel, the ``kernel.fallback`` counter (plus
+    ``kernel.fallback.<reason>``) ticks on ``metrics``.
     """
-    inner = get_backend(kernel)
-    if not inner.serial:
-        raise ConfigError(
-            f"kernel {kernel!r} is not an in-process backend; pick one of "
-            f"{list(serial_kernel_names())} (the wavefront grid is reached "
-            f"by attaching an executor)")
     if executor is not None:
         m = int(np.asarray(codes0).size)
         n = int(np.asarray(codes1).size)
@@ -337,10 +321,10 @@ def make_sweeper(codes0: np.ndarray, codes1: np.ndarray,
         elif not taps_ok:
             reason = "interior_taps"
         if reason is None:
-            return get_backend("wavefront").make(
+            return ParallelRowSweeper(
                 codes0, codes1, scheme, executor=executor, metrics=metrics,
                 strip_cols=strip_cols, **kwargs)
         if metrics is not None:
             metrics.counter("kernel.fallback").add(1)
             metrics.counter(f"kernel.fallback.{reason}").add(1)
-    return inner.make(codes0, codes1, scheme, **kwargs)
+    return RowSweeper(codes0, codes1, scheme, **kwargs)

@@ -33,7 +33,9 @@ from multiprocessing import connection, get_context
 
 import numpy as np
 
+from repro.constants import NEG_INF, SCORE_DTYPE, TYPE_GAP_S1, TYPE_MATCH
 from repro.errors import ConfigError, ReproError
+from repro.align.scoring import ScoringScheme
 from repro.align.tiled import TileEdges, tile_sweep
 from repro.parallel.shm import ArrayRef, SegmentCache, SharedArray
 from repro.parallel.tasks import TASK_REGISTRY
@@ -46,9 +48,43 @@ except ValueError:  # pragma: no cover - non-POSIX platforms
     _CTX = get_context()
 
 
-# boundary_column moved to the align layer (the diagonal backend needs
-# it too); re-exported here because strip-0 tiles are its first client.
-from repro.align.kernels import boundary_column  # noqa: E402,F401
+def boundary_column(m: int, scheme: ScoringScheme, *, local: bool,
+                    start_gap: int = TYPE_MATCH, forced: bool = False
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Column-0 boundary ``(H, E, X)`` for rows ``1..m``, in closed form.
+
+    Strip-0 tiles need the sweep's own boundary column without running
+    the serial row loop.  For local sweeps that is the zero floor.  For
+    global sweeps the serial kernel evolves the column as::
+
+        F(i, 0) = max(F(i-1, 0) - G_ext, H(i-1, 0) - G_first)
+        H(i, 0) = max(F(i, 0), -inf)        # E(i, 0) is pinned to -inf
+
+    Because ``G_first >= G_ext`` this collapses to the arithmetic ramp
+    ``F(1, 0) - (i - 1) * G_ext`` floored at ``-inf - G_first`` (the
+    floor binds only when a forced boundary drives F below -inf, where
+    re-opening from the clamped H beats extending the sinking run), with
+    H the ramp clamped at -inf.
+
+    Three arrays come back because the serial kernel uses *different*
+    column-0 values for different roles, and bit-identity requires each:
+    ``H`` (clamped) is what the substitution term and best/watch
+    tracking see; ``X`` (the unclamped F) seeds the in-row E scan;
+    ``E`` is ``X - G_open`` so the tile seed ``max(X, E + G_open)``
+    stays exactly ``X`` — the serial seed.
+    """
+    if local:
+        zeros = np.zeros(m, dtype=SCORE_DTYPE)
+        return zeros, np.full(m, NEG_INF, dtype=SCORE_DTYPE), zeros
+    h_init = int(NEG_INF) if forced else 0
+    f_init = 0 if start_gap == TYPE_GAP_S1 else int(NEG_INF)
+    f_row1 = max(f_init - scheme.gap_ext, h_init - scheme.gap_first)
+    ramp = np.arange(m, dtype=np.int64) * scheme.gap_ext
+    left_X = np.maximum(f_row1 - ramp,
+                        int(NEG_INF) - scheme.gap_first).astype(SCORE_DTYPE)
+    left_H = np.maximum(left_X, NEG_INF)
+    left_E = left_X - SCORE_DTYPE(scheme.gap_open)
+    return left_H, left_E, left_X
 
 
 def plan_strip_cols(n: int, workers: int) -> int:

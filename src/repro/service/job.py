@@ -66,11 +66,11 @@ class JobSpec:
     resume Stage 1 from the latest checkpoint; set it to ``None`` to make
     every retry start over.
 
-    ``kernel`` picks the in-process sweep backend by registry name
-    (``rowscan`` / ``diagonal``); ``executor`` picks the execution model.
-    Both route through :class:`~repro.core.config.PipelineConfig`, so
-    the gateway and batch spec files can steer jobs per backend — all
-    backends are bit-identical, the knob is purely performance.
+    ``executor`` picks the execution model (``serial`` / ``wavefront``)
+    and routes through :class:`~repro.core.config.PipelineConfig`, so
+    the gateway and batch spec files can steer jobs per executor — both
+    are bit-identical, the knob is purely performance.  Unknown fields
+    are rejected by :meth:`from_json`.
 
     ``stall_seconds`` and ``max_rss_bytes`` override the service-wide
     supervision defaults per job (``None`` defers to the supervisor).
@@ -95,7 +95,6 @@ class JobSpec:
     sra_rows: int = 8
     max_partition_size: int = 32
     executor: str = "serial"
-    kernel: str = "rowscan"
     workers: int = 1
     checkpoint_every_rows: int | None = 64
     priority: int = 0
@@ -151,7 +150,7 @@ class JobSpec:
         return small_config(
             block_rows=self.block_rows, n=n, sra_rows=self.sra_rows,
             max_partition_size=self.max_partition_size, scheme=self.scheme,
-            executor=self.executor, kernel=self.kernel, workers=self.workers,
+            executor=self.executor, workers=self.workers,
             checkpoint_every_rows=self.checkpoint_every_rows)
 
     # ------------------------------------------------------------- codecs

@@ -260,7 +260,7 @@ def execute_job(spec: JobSpec, workdir: str, attempt: int,
 def prepare_group(specs) -> tuple[dict[str, Any], dict[str, Any]]:
     """Fused Stage-1 presweep for a coalesced group (child-process side).
 
-    Builds one batched Stage-1 lane per spec — with exactly the save
+    Builds one Stage-1 lane per spec — with exactly the save
     rows, tracking options and scheme Stage 1 itself would request (see
     :func:`~repro.core.stage1.stage1_sweep_plan`) — and runs every lane
     to completion through length-bucketed fused dispatches.  Returns
@@ -269,14 +269,15 @@ def prepare_group(specs) -> tuple[dict[str, Any], dict[str, Any]]:
     is :func:`~repro.align.batched.sweep_batched`'s honest batch report
     (lanes, buckets, padding waste).
     """
-    from repro.align.batched import BatchedRowSweeper, sweep_batched
+    from repro.align.batched import sweep_batched
+    from repro.align.rowscan import RowSweeper
     from repro.core.stage1 import stage1_sweep_plan
     sweepers: dict[str, Any] = {}
     for spec in specs:
         s0, s1 = spec.load_sequences()
         config = spec.pipeline_config(n=len(s1))
         _, rows = stage1_sweep_plan(len(s0), len(s1), config)
-        sweepers[spec.job_id] = BatchedRowSweeper(
+        sweepers[spec.job_id] = RowSweeper(
             s0.codes, s1.codes, config.scheme,
             local=True, track_best=True, save_rows=list(rows))
     stats = sweep_batched(list(sweepers.values()))

@@ -1,12 +1,11 @@
-"""Tests for the batched kernel (repro.align.batched) and the service
+"""Tests for the lane axis (repro.align.batched) and the service
 micro-batcher that feeds it.
 
-The registry-wide conformance suite (tests/test_kernel_backends.py)
-already holds the ``batched`` backend's K=1 facade to the bit-identity
-contract; this module covers what only multi-lane execution can —
-ragged buckets, frozen all-padding tails, mixed boundary regimes in one
-batch, bucket planning — plus the rowscan allocation diet and the
-service-level coalescing semantics.
+The conformance suite (tests/test_kernel_backends.py) already holds a
+K=1 lane to the bit-identity contract; this module covers what only
+multi-lane execution can — ragged buckets, frozen all-padding tails,
+mixed global boundary regimes in one batch, bucket planning — plus the
+rowscan allocation diet and the service-level coalescing semantics.
 """
 
 from __future__ import annotations
@@ -16,8 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.align.batched import (BatchedRowSweeper, plan_buckets,
-                                 sweep_batched, sweep_lanes)
+from repro.align.batched import plan_buckets, sweep_batched, sweep_lanes
 from repro.align.rowscan import RowSweeper
 from repro.align.scoring import PAPER_SCHEME
 from repro.constants import TYPE_GAP_S0, TYPE_GAP_S1
@@ -38,7 +36,7 @@ def _twin(codes0, codes1, scheme, **kwargs):
     """One (reference, lane) pair over identical inputs: the reference
     runs the serial kernel, the lane goes through the fused batch."""
     return (RowSweeper(codes0, codes1, scheme, **kwargs),
-            BatchedRowSweeper(codes0, codes1, scheme, **kwargs))
+            RowSweeper(codes0, codes1, scheme, **kwargs))
 
 
 # ------------------------------------------------------------ sweep_lanes
@@ -92,11 +90,11 @@ class TestSweepLanes:
             assert_sweeps_identical(ref, lane)
 
     def test_mixed_boundary_regimes(self, rng, scheme):
-        """One batch may mix local and every global boundary variant —
-        the regimes live entirely in each lane's packed state."""
+        """One batch may mix every global boundary variant — the regimes
+        live entirely in each lane's packed state — but not local and
+        global lanes: the zero floor is a per-row branch."""
         variants = [
-            {"local": True, "track_best": True},
-            {},
+            {"track_best": True},
             {"start_gap": TYPE_GAP_S0},
             {"start_gap": TYPE_GAP_S1},
             {"start_gap": TYPE_GAP_S0, "forced": True},
@@ -112,10 +110,14 @@ class TestSweepLanes:
         for ref, lane in zip(refs, lanes):
             ref.run()
             assert_sweeps_identical(ref, lane)
+        mixed = [RowSweeper(*_codes(rng, 8, 8), scheme, local=True),
+                 RowSweeper(*_codes(rng, 8, 8), scheme)]
+        with pytest.raises(ConfigError, match="local/global"):
+            sweep_lanes(mixed)
 
     def test_mixed_schemes_rejected(self, rng):
-        lanes = [BatchedRowSweeper(*_codes(rng, 8, 8), SCHEMES[0], local=True),
-                 BatchedRowSweeper(*_codes(rng, 8, 8), SCHEMES[1], local=True)]
+        lanes = [RowSweeper(*_codes(rng, 8, 8), SCHEMES[0], local=True),
+                 RowSweeper(*_codes(rng, 8, 8), SCHEMES[1], local=True)]
         with pytest.raises(ConfigError, match="share one scoring scheme"):
             sweep_lanes(lanes)
 
@@ -128,8 +130,8 @@ class TestSweepLanes:
             sweep_lanes([lane], -1)
 
     def test_plain_rowsweeper_lanes_accepted(self, rng, scheme):
-        """sweep_lanes advances any RowSweeper-state lane, not only the
-        registered facade class."""
+        """sweep_lanes advances plain RowSweeper lanes in place; the
+        serial sweeper never notices the lane axis existed."""
         codes0, codes1 = _codes(rng, 12, 18)
         ref = RowSweeper(codes0, codes1, scheme, local=True, track_best=True)
         lane = RowSweeper(codes0, codes1, scheme, local=True, track_best=True)
@@ -141,14 +143,14 @@ class TestSweepLanes:
 # ----------------------------------------------------------- plan_buckets
 class TestPlanBuckets:
     def test_schemes_never_share_a_bucket(self, rng):
-        lanes = [BatchedRowSweeper(*_codes(rng, 16, 16), SCHEMES[i % 2],
-                                   local=True) for i in range(6)]
+        lanes = [RowSweeper(*_codes(rng, 16, 16), SCHEMES[i % 2],
+                            local=i % 3 == 0) for i in range(6)]
         for bucket in plan_buckets(lanes):
-            schemes = {lanes[k].scheme for k in bucket}
-            assert len(schemes) == 1
+            keys = {(lanes[k].scheme, lanes[k].local) for k in bucket}
+            assert len(keys) == 1
 
     def test_max_lanes_cap(self, rng, scheme):
-        lanes = [BatchedRowSweeper(*_codes(rng, 8, 8), scheme, local=True)
+        lanes = [RowSweeper(*_codes(rng, 8, 8), scheme, local=True)
                  for _ in range(10)]
         buckets = plan_buckets(lanes, max_lanes=4)
         assert all(len(b) <= 4 for b in buckets)
@@ -156,7 +158,7 @@ class TestPlanBuckets:
 
     def test_waste_bound_holds_per_bucket(self, rng, scheme):
         shapes = [(512, 512), (8, 8), (8, 8), (8, 8)]
-        lanes = [BatchedRowSweeper(*_codes(rng, m, n), scheme, local=True)
+        lanes = [RowSweeper(*_codes(rng, m, n), scheme, local=True)
                  for m, n in shapes]
         max_waste = 0.25
         buckets = plan_buckets(lanes, max_waste=max_waste)
@@ -169,14 +171,14 @@ class TestPlanBuckets:
             assert 1.0 - cells / (len(group) * depth * width) <= max_waste
 
     def test_finished_lanes_skipped(self, rng, scheme):
-        lanes = [BatchedRowSweeper(*_codes(rng, 8, 8), scheme, local=True)
+        lanes = [RowSweeper(*_codes(rng, 8, 8), scheme, local=True)
                  for _ in range(3)]
         lanes[1].run()
         buckets = plan_buckets(lanes)
         assert sorted(k for b in buckets for k in b) == [0, 2]
 
     def test_invalid_parameters(self, rng, scheme):
-        lane = BatchedRowSweeper(*_codes(rng, 4, 4), scheme, local=True)
+        lane = RowSweeper(*_codes(rng, 4, 4), scheme, local=True)
         with pytest.raises(ConfigError, match="max_lanes"):
             plan_buckets([lane], max_lanes=0)
         with pytest.raises(ConfigError, match="max_waste"):
@@ -184,7 +186,7 @@ class TestPlanBuckets:
 
     def test_sweep_batched_stats_and_metrics(self, rng, scheme):
         metrics = MetricsRegistry()
-        lanes = [BatchedRowSweeper(*_codes(rng, 16 + i, 24 - i), scheme,
+        lanes = [RowSweeper(*_codes(rng, 16 + i, 24 - i), scheme,
                                    local=True, track_best=True)
                  for i in range(5)]
         stats = sweep_batched(lanes, metrics=metrics)

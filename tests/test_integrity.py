@@ -144,6 +144,28 @@ class TestJsonEnvelope:
         with pytest.raises(IntegrityError, match="kind mismatch"):
             codec.open_json(text, expect_kind=codec.KIND_CHECKPOINT)
 
+    @pytest.mark.parametrize("payload", [
+        {"best_score": 17},
+        {"best_score": 4242, "alignment_length": 1000, "cached": False,
+         "crosspoints": [[0, 0, 0, 0], [310, 297, 17, 1]]},
+    ])
+    def test_every_single_bit_flip_caught(self, payload):
+        # Regression: flips in the "version" key or value used to verify
+        # clean (53 of the 1560 flips of a small cache entry).
+        blob = codec.seal_json(payload,
+                               codec.KIND_CACHE_ENTRY).encode("utf-8")
+        missed = []
+        for bit in range(8 * len(blob)):
+            damaged = bytearray(blob)
+            damaged[bit // 8] ^= 1 << (bit % 8)
+            try:
+                codec.open_json(bytes(damaged).decode("utf-8"),
+                                expect_kind=codec.KIND_CACHE_ENTRY)
+            except (IntegrityError, UnicodeDecodeError):
+                continue
+            missed.append(bit)
+        assert not missed, f"{len(missed)} undetected flips, first {missed[:5]}"
+
 
 class TestQuarantine:
     def test_preserves_and_serializes_collisions(self, tmp_path):

@@ -1,16 +1,21 @@
-"""Kernel-backend conformance: every registered backend, bit for bit.
+"""Sweep conformance: every sweep path, bit for bit.
 
-The registry (:mod:`repro.align.kernels`) promises that every backend is
-an *exact* drop-in for the serial ``rowscan`` reference — identical
-H/E/F rows, best cell, watch hit, saved rows, taps, cell counts and
-checkpoints — so this suite runs the whole registry through the same
-assertion (:func:`tests.conftest.assert_sweeps_identical`) on inputs
-chosen to break lookalikes: N-heavy sequences through the substitution
-LUT, the ``gap_first == gap_ext`` scan boundary, one-row and one-column
-matrices, every forced/start-gap regime, windowed ``advance`` cuts, and
-cross-backend checkpoint resume.  It also pins ``make_sweeper``'s
-routing (including the ``kernel.fallback`` signal) and the bench
-ledger's refusal to report names the registry cannot back.
+Every O(mn) sweep runs the one Gotoh row body
+(:func:`repro.align.rowscan.row_step`), reached three ways: the serial
+:class:`RowSweeper` (the ``rowscan`` reference), the edge-seeded tile
+grid (``wavefront``: :class:`ParallelRowSweeper`, inline here), and the
+fused lane axis (``lanes``: a K=1 adapter over
+:func:`repro.align.batched.sweep_lanes`).  Each must be an *exact*
+drop-in for the reference — identical H/E/F rows, best cell, watch hit,
+saved rows, taps, cell counts and checkpoints — so this suite runs both
+through the same assertion (:func:`tests.conftest.assert_sweeps_identical`)
+on inputs chosen to break lookalikes: N-heavy sequences through the
+substitution LUT, the ``gap_first == gap_ext`` scan boundary, one-row
+and one-column matrices, every forced/start-gap regime, windowed
+``advance`` cuts, and cross-path checkpoint resume.  It also pins
+``make_sweeper``'s routing (including the ``kernel.fallback`` signal),
+the removal of the ``kernel`` knob, and the bench ledger's refusal to
+report names the script cannot back.
 """
 
 from __future__ import annotations
@@ -23,13 +28,11 @@ import pytest
 
 from repro.constants import TYPE_GAP_S0, TYPE_GAP_S1, TYPE_MATCH
 from repro.errors import ConfigError
-from repro.align import DiagonalSweeper, RowSweeper
-from repro.align.kernels import (KernelBackend, backend_names, get_backend,
-                                 register_backend, serial_kernel_names,
-                                 _REGISTRY)
-from repro.align.myers_miller import MMConfig, find_midpoint, mm_score
+from repro.align import RowSweeper
+from repro.align.batched import sweep_lanes
+from repro.align.myers_miller import MMConfig
 from repro.align.scoring import PAPER_SCHEME
-from repro.core import CUDAlign, small_config
+from repro.core import small_config
 from repro.parallel import MIN_PARALLEL_CELLS, ParallelRowSweeper
 from repro.service import JobSpec
 from repro.sequences.sequence import N_CODE, Sequence
@@ -37,7 +40,7 @@ from repro.telemetry.metrics import MetricsRegistry
 
 from tests.conftest import SCHEMES, assert_sweeps_identical, make_pair
 
-from benchmarks.bench_backends import build_ledger, validate_ledger
+from benchmarks.bench_backends import KERNELS, build_ledger, validate_ledger
 
 REGIMES = [
     ("local", dict(local=True, start_gap=TYPE_MATCH, forced=False)),
@@ -48,16 +51,25 @@ REGIMES = [
     ("forced-s1", dict(local=False, start_gap=TYPE_GAP_S1, forced=True)),
 ]
 
-#: Every backend the registry knows; the suite derives its matrix from
-#: the registry so a new backend is conformance-tested by registration.
-ALL_BACKENDS = backend_names()
-NON_REFERENCE = [b for b in ALL_BACKENDS if b != "rowscan"]
+
+class _LaneSweeper(RowSweeper):
+    """One K=1 lane through the fused batch path, so the lane axis is
+    held to every regime the serial kernel accepts."""
+
+    def _advance(self, nrows: int) -> int:
+        sweep_lanes([self], nrows)
+        return nrows
+
+
+#: The wavefront grid runs inline (executor=None): same schedule, no
+#: pool — conformance is about the arithmetic, not the transport.
+SWEEPERS = {"rowscan": RowSweeper, "wavefront": ParallelRowSweeper,
+            "lanes": _LaneSweeper}
+NON_REFERENCE = ["wavefront", "lanes"]
 
 
 def _make(name, s0, s1, scheme, **kw):
-    # Non-serial backends run inline (executor=None): same schedule, no
-    # pool — conformance is about the arithmetic, not the transport.
-    return get_backend(name).make(s0.codes, s1.codes, scheme, **kw)
+    return SWEEPERS[name](s0.codes, s1.codes, scheme, **kw)
 
 
 def _n_heavy_pair(rng, m, n, frac=0.3):
@@ -68,38 +80,6 @@ def _n_heavy_pair(rng, m, n, frac=0.3):
     c0[rng.random(m) < frac] = N_CODE
     c1[rng.random(n) < frac] = N_CODE
     return Sequence(c0, name="n0"), Sequence(c1, name="n1")
-
-
-class TestRegistry:
-    def test_builtins_registered(self):
-        assert set(ALL_BACKENDS) >= {"rowscan", "diagonal", "batched",
-                                     "wavefront"}
-        assert set(serial_kernel_names()) == {"rowscan", "diagonal",
-                                              "batched"}
-        assert not get_backend("wavefront").serial
-        assert not get_backend("wavefront").interior_taps
-        assert get_backend("batched").batch
-        assert not get_backend("rowscan").batch
-
-    def test_unknown_name_is_an_error(self):
-        with pytest.raises(ConfigError, match="unknown kernel backend"):
-            get_backend("cuda")
-
-    def test_duplicate_registration_is_an_error(self):
-        with pytest.raises(ConfigError, match="already registered"):
-            register_backend(KernelBackend(name="rowscan",
-                                           factory=RowSweeper))
-
-    def test_registration_round_trip(self):
-        backend = KernelBackend(name="__test_backend__", factory=RowSweeper,
-                                description="test-only alias")
-        register_backend(backend)
-        try:
-            assert get_backend("__test_backend__") is backend
-            assert "__test_backend__" in backend_names()
-            assert "__test_backend__" in serial_kernel_names()
-        finally:
-            _REGISTRY.pop("__test_backend__")
 
 
 class TestConformance:
@@ -177,10 +157,9 @@ class TestConformance:
     def test_interior_taps(self, rng):
         # Interior tap columns are a capability, not part of the base
         # contract: conformance applies to every backend that claims it.
+        # The wavefront grid only taps the final column.
         s0, s1 = make_pair(rng, 50, 44)
-        capable = [n for n in ALL_BACKENDS
-                   if get_backend(n).interior_taps and n != "rowscan"]
-        assert "diagonal" in capable
+        capable = ["lanes"]
         taps = np.array([1, 17, len(s1)])
         for name in capable:
             for _, regime in REGIMES:
@@ -191,46 +170,29 @@ class TestConformance:
                 assert_sweeps_identical(ref, other)
 
     def test_checkpoint_resumes_across_backends(self, rng):
-        # A state_dict written by the diagonal kernel mid-sweep resumes
-        # the rowscan kernel (and vice versa) to the same final state —
-        # the property that makes Stage-1 checkpoints backend-agnostic.
+        # A state_dict written by one sweep path mid-sweep resumes the
+        # rowscan kernel (and vice versa) to the same final state — the
+        # property that makes Stage-1 checkpoints path-agnostic.
         s0, s1 = make_pair(rng, 90, 70)
         kw = dict(local=True, track_best=True)
         reference = _make("rowscan", s0, s1, PAPER_SCHEME, **kw).run()
 
-        diag = _make("diagonal", s0, s1, PAPER_SCHEME, **kw)
-        diag.advance(41)
-        resumed = _make("rowscan", s0, s1, PAPER_SCHEME, **kw)
-        resumed.load_state(diag.state_dict())
-        assert_sweeps_identical(reference, resumed.run())
-        assert_sweeps_identical(reference, diag.run())
+        for name in NON_REFERENCE:
+            other = _make(name, s0, s1, PAPER_SCHEME, **kw)
+            other.advance(41)
+            resumed = _make("rowscan", s0, s1, PAPER_SCHEME, **kw)
+            resumed.load_state(other.state_dict())
+            assert_sweeps_identical(reference, resumed.run())
+            assert_sweeps_identical(reference, other.run())
 
-        row = _make("rowscan", s0, s1, PAPER_SCHEME, **kw)
-        row.advance(41)
-        resumed = _make("diagonal", s0, s1, PAPER_SCHEME, **kw)
-        resumed.load_state(row.state_dict())
-        assert_sweeps_identical(reference, resumed.run())
+            row = _make("rowscan", s0, s1, PAPER_SCHEME, **kw)
+            row.advance(41)
+            resumed = _make(name, s0, s1, PAPER_SCHEME, **kw)
+            resumed.load_state(row.state_dict())
+            assert_sweeps_identical(reference, resumed.run())
 
 
 class TestMakeSweeperRouting:
-    def test_kernel_selects_backend(self, rng):
-        from repro.parallel import make_sweeper
-        s0, s1 = make_pair(rng, 40, 40)
-        sweep = make_sweeper(s0.codes, s1.codes, PAPER_SCHEME,
-                             kernel="diagonal")
-        assert type(sweep) is DiagonalSweeper
-        sweep = make_sweeper(s0.codes, s1.codes, PAPER_SCHEME)
-        assert type(sweep) is RowSweeper
-
-    def test_non_serial_kernel_rejected(self, rng):
-        from repro.parallel import make_sweeper
-        s0, s1 = make_pair(rng, 16, 16)
-        with pytest.raises(ConfigError, match="not an in-process backend"):
-            make_sweeper(s0.codes, s1.codes, PAPER_SCHEME,
-                         kernel="wavefront")
-        with pytest.raises(ConfigError, match="unknown kernel backend"):
-            make_sweeper(s0.codes, s1.codes, PAPER_SCHEME, kernel="gpu")
-
     def test_small_matrix_fallback_is_signalled(self, rng):
         # The silent-serial-fallback bug: an attached executor that ends
         # up unused must tick kernel.fallback with a reason, not vanish.
@@ -239,9 +201,8 @@ class TestMakeSweeperRouting:
         assert 40 * 40 < MIN_PARALLEL_CELLS
         metrics = MetricsRegistry()
         sweep = make_sweeper(s0.codes, s1.codes, PAPER_SCHEME,
-                             kernel="diagonal", executor=object(),
-                             metrics=metrics)
-        assert type(sweep) is DiagonalSweeper
+                             executor=object(), metrics=metrics)
+        assert type(sweep) is RowSweeper
         snap = metrics.snapshot()
         assert snap["kernel.fallback"] == 1
         assert snap["kernel.fallback.small_matrix"] == 1
@@ -263,7 +224,9 @@ class TestMakeSweeperRouting:
         from repro.parallel import make_sweeper
         s0, s1 = make_pair(rng, 40, 40)
         metrics = MetricsRegistry()
-        make_sweeper(s0.codes, s1.codes, PAPER_SCHEME, metrics=metrics)
+        sweep = make_sweeper(s0.codes, s1.codes, PAPER_SCHEME,
+                             metrics=metrics)
+        assert type(sweep) is RowSweeper
         assert "kernel.fallback" not in metrics.snapshot()
 
     def test_executor_routes_to_wavefront(self, rng):
@@ -272,57 +235,42 @@ class TestMakeSweeperRouting:
         with WavefrontExecutor(1) as executor:
             metrics = MetricsRegistry()
             sweep = make_sweeper(s0.codes, s1.codes, PAPER_SCHEME,
-                                 kernel="diagonal", executor=executor,
-                                 metrics=metrics)
+                                 executor=executor, metrics=metrics)
             assert isinstance(sweep, ParallelRowSweeper)
             assert "kernel.fallback" not in metrics.snapshot()
             sweep.close()
 
 
 class TestPipelineParity:
-    def test_diagonal_pipeline_bit_identical(self, rng, tmp_path):
-        s0, s1 = make_pair(rng, 300, 280)
-        ref_cfg = small_config(block_rows=32, n=len(s1), sra_rows=5)
-        diag_cfg = small_config(block_rows=32, n=len(s1), sra_rows=5,
-                                kernel="diagonal")
-        ref = CUDAlign(ref_cfg, workdir=str(tmp_path / "row")).run(s0, s1)
-        out = CUDAlign(diag_cfg, workdir=str(tmp_path / "diag")).run(s0, s1)
-        assert out.best_score == ref.best_score
-        assert out.stage1.end_point == ref.stage1.end_point
-        assert out.stage1.special_rows == ref.stage1.special_rows
-        assert out.stage2.crosspoints == ref.stage2.crosspoints
-        assert out.stage3.crosspoints == ref.stage3.crosspoints
-        assert out.stage4.crosspoints == ref.stage4.crosspoints
-        assert out.binary.encode() == ref.binary.encode()
-
     def test_config_rejects_bad_kernel(self):
-        with pytest.raises(ConfigError):
-            small_config(block_rows=32, n=256, kernel="wavefront")
-        with pytest.raises(ConfigError):
-            small_config(block_rows=32, n=256, kernel="nope")
-
-    def test_myers_miller_parity(self, rng):
-        s0, s1 = make_pair(rng, 120, 100)
-        assert (mm_score(s0.codes, s1.codes, PAPER_SCHEME, kernel="diagonal")
-                == mm_score(s0.codes, s1.codes, PAPER_SCHEME))
-        ref = find_midpoint(s0.codes, s1.codes, PAPER_SCHEME,
-                            config=MMConfig(kernel="rowscan"))
-        diag = find_midpoint(s0.codes, s1.codes, PAPER_SCHEME,
-                             config=MMConfig(kernel="diagonal"))
-        assert diag == ref
-        with pytest.raises(ConfigError):
-            MMConfig(kernel="wavefront")
+        # One in-process kernel is left, so the knob is gone everywhere:
+        # config objects refuse it and the job-spec wire format treats
+        # it as an unknown field.
+        with pytest.raises(TypeError):
+            small_config(block_rows=32, n=256, kernel="rowscan")
+        with pytest.raises(TypeError):
+            MMConfig(kernel="rowscan")
+        spec = JobSpec(seq0="a.fa", seq1="b.fa").to_json()
+        spec["kernel"] = "rowscan"
+        with pytest.raises(ConfigError, match="unknown job spec fields"):
+            JobSpec.from_json(spec)
 
     def test_job_spec_round_trips_kernel(self):
-        spec = JobSpec(seq0="a.fa", seq1="b.fa", kernel="diagonal")
-        assert JobSpec.from_json(spec.to_json()).kernel == "diagonal"
-        assert spec.pipeline_config(n=4096).kernel == "diagonal"
-        with pytest.raises(ConfigError):
-            JobSpec(seq0="a.fa", seq1="b.fa", kernel="warpspeed")
+        # The wire format carries no kernel: a spec round-trips without
+        # one, the pipeline config it builds has none, and a spec that
+        # names one is refused rather than silently dropped.
+        spec = JobSpec(seq0="a.fa", seq1="b.fa")
+        wire = spec.to_json()
+        assert "kernel" not in wire
+        assert JobSpec.from_json(wire) == spec
+        assert not hasattr(spec.pipeline_config(n=4096), "kernel")
+        wire["kernel"] = "diagonal"
+        with pytest.raises(ConfigError, match="unknown job spec fields"):
+            JobSpec.from_json(wire)
 
 
 class TestBenchLedger:
-    """The MCUPS ledger cannot report a backend the code cannot back."""
+    """The MCUPS ledger cannot report a kernel the script cannot back."""
 
     TRAJECTORY = (Path(__file__).resolve().parent.parent
                   / "benchmarks" / "trajectory" / "BENCH_backends.json")
@@ -330,20 +278,20 @@ class TestBenchLedger:
     def test_committed_trajectory_is_valid(self):
         ledger = json.loads(self.TRAJECTORY.read_text())
         validate_ledger(ledger)
-        assert set(ledger["registry"]) == set(backend_names())
+        assert set(ledger["kernels"]) == set(KERNELS)
 
     def test_unknown_backend_name_rejected(self):
         ledger = json.loads(self.TRAJECTORY.read_text())
         spec = next(iter(ledger["workloads"]))
         entry = ledger["workloads"][spec]["backends"]
         entry["cuda"] = next(iter(entry.values()))
-        with pytest.raises(ValueError, match="unregistered backend 'cuda'"):
+        with pytest.raises(ValueError, match="unknown kernel 'cuda'"):
             validate_ledger(ledger)
 
     def test_registry_drift_rejected(self):
         ledger = json.loads(self.TRAJECTORY.read_text())
-        ledger["registry"].append("retired_kernel")
-        with pytest.raises(ValueError, match="registry"):
+        ledger["kernels"].append("diagonal")
+        with pytest.raises(ValueError, match="kernels"):
             validate_ledger(ledger)
 
     def test_schema_drift_rejected(self):
@@ -357,7 +305,7 @@ class TestBenchLedger:
             build_ledger(["8x8"], ["rowscan", "cuda"], workers=1, repeats=1)
 
     def test_measured_entry_validates(self):
-        ledger = build_ledger(["48x40"], ["rowscan", "diagonal"],
+        ledger = build_ledger(["48x40", "3x8x8"], ["rowscan", "batched"],
                               workers=1, repeats=1)
         validate_ledger(ledger)
         entry = ledger["workloads"]["48x40"]
