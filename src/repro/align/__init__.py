@@ -6,7 +6,8 @@ from repro.align.alignment import Alignment, Composition, GapRun
 from repro.align.rowscan import RowSweeper, row_step
 from repro.align import reference
 from repro.align.full_matrix import dp_matrices, global_align, local_align
-from repro.align.myers_miller import MMConfig, MMStats, find_midpoint, mm_align, mm_score
+from repro.align.myers_miller import (MMConfig, MMStats, find_midpoint,
+                                      find_midpoints, mm_align, mm_score)
 from repro.align.semiglobal import SemiGlobalResult, semiglobal_align, semiglobal_score
 from repro.align.tiled import TileEdges, TileResult, tile_sweep, tiled_local_sweep
 
@@ -15,7 +16,8 @@ __all__ = [
     "Alignment", "Composition", "GapRun",
     "RowSweeper", "row_step", "reference",
     "dp_matrices", "global_align", "local_align",
-    "MMConfig", "MMStats", "find_midpoint", "mm_align", "mm_score",
+    "MMConfig", "MMStats", "find_midpoint", "find_midpoints", "mm_align",
+    "mm_score",
     "SemiGlobalResult", "semiglobal_align", "semiglobal_score",
     "TileEdges", "TileResult", "tile_sweep", "tiled_local_sweep",
 ]

@@ -148,8 +148,17 @@ def sweep_lanes(lanes, nrows: int | None = None) -> int:
             off = r - i0[k]
             if 1 <= off <= steps[k]:
                 save_plan.setdefault(int(off), []).append((k, int(r)))
+    # Every lane's taps as flat offsets into the packed state, so one
+    # gather per row fills an (S, total_taps) buffer; each lane's slice
+    # is scattered into its tap_H/tap_E once, after the loop.
     tap_lanes = [(k, lane) for k, lane in enumerate(lanes)
                  if lane._taps is not None]
+    if tap_lanes:
+        tap_idx = np.concatenate([k * (N + 1) + lane._taps
+                                  for k, lane in tap_lanes])
+        tapH_rows = np.empty((S, tap_idx.size), dtype=SCORE_DTYPE)
+        tapE_rows = np.empty((S, tap_idx.size), dtype=SCORE_DTYPE)
+        Hflat, Eflat = Hb.reshape(-1), Eb.reshape(-1)
 
     Xb = np.empty((K, N + 1), dtype=SCORE_DTYPE)
     Tb = np.empty((K, N + 1), dtype=SCORE_DTYPE)
@@ -190,15 +199,23 @@ def sweep_lanes(lanes, nrows: int | None = None) -> int:
                 if hits.size:
                     lane.watch_hit = (i0[k] + s, int(hits[0]))
                     watch_pend[k] = False
-        for k, lane in tap_lanes:
-            if k < kact:
-                row = i0[k] + s
-                lane.tap_H[row] = Hb[k, lane._taps]
-                lane.tap_E[row] = Eb[k, lane._taps]
+        if tap_lanes:
+            # Frozen lanes are gathered too; their columns are dropped
+            # by the scatter below.
+            np.take(Hflat, tap_idx, out=tapH_rows[s - 1])
+            np.take(Eflat, tap_idx, out=tapE_rows[s - 1])
         for k, r in save_plan.get(s, ()):
             lane = lanes[k]
             w = lane.n + 1
             lane.saved[r] = (Hb[k, :w].copy(), Fb[k, :w].copy())
+
+    off = 0
+    for k, lane in tap_lanes:
+        sk, t = int(steps[k]), lane._taps.size
+        rows = slice(i0[k] + 1, i0[k] + sk + 1)
+        lane.tap_H[rows] = tapH_rows[:sk, off:off + t]
+        lane.tap_E[rows] = tapE_rows[:sk, off:off + t]
+        off += t
 
     for k, lane in enumerate(lanes):
         sk = int(steps[k])

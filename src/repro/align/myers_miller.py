@@ -20,8 +20,8 @@ Boundary conventions (shared with the whole pipeline):
   opening was paid upstream);
 * a partition whose *end* crosspoint is gap-typed runs its reverse sweep
   *forced* (only tails that end inside that run are finite); forced+seeded
-  values are uniformly ``true + G_open``, which :func:`_tail_vectors`
-  subtracts back out.
+  values are uniformly ``true + G_open``, which the matching subtracts
+  back out.
 
 Orthogonal execution
 --------------------
@@ -44,6 +44,7 @@ from repro.constants import TYPE_GAP_S0, TYPE_GAP_S1, TYPE_MATCH, swap_gap_type
 from repro.errors import ConfigError, MatchingError
 from repro.align import full_matrix
 from repro.align.alignment import Alignment
+from repro.align.batched import plan_buckets, sweep_batched, sweep_lanes
 from repro.align.rowscan import RowSweeper
 from repro.align.scoring import ScoringScheme
 
@@ -96,30 +97,6 @@ def degenerate_alignment(m: int, n: int) -> Alignment:
     return Alignment(0, 0, ops)
 
 
-def _forward_vectors(codes0, codes1, scheme, start_gap,
-                     stats) -> tuple[np.ndarray, np.ndarray]:
-    """CC (H) and DD (F) on the last row of the top half."""
-    sweep = RowSweeper(codes0, codes1, scheme, start_gap=start_gap).run()
-    stats.cells_forward += sweep.cells
-    return sweep.H.astype(np.int64), sweep.F.astype(np.int64)
-
-
-def _tail_vectors(codes0, codes1, scheme, end_gap,
-                  stats) -> tuple[np.ndarray, np.ndarray]:
-    """Adjusted RR (H) and SS (F) tail vectors, indexed by original column.
-
-    Computed as a forward sweep over reversed sequences; forced when the
-    end state is gap-typed, then de-biased by G_open.
-    """
-    sweep = RowSweeper(codes0[::-1], codes1[::-1], scheme,
-                       start_gap=end_gap, forced=end_gap != TYPE_MATCH).run()
-    stats.cells_reverse += sweep.cells
-    bias = scheme.gap_open if end_gap != TYPE_MATCH else 0
-    rr = sweep.H[::-1].astype(np.int64) - bias
-    ss = sweep.F[::-1].astype(np.int64) - bias
-    return rr, ss
-
-
 def _match_full(cc, dd, rr, ss, gopen, goal=None) -> tuple[int, int, int]:
     """Full matching: best split column, its join type, and the top value."""
     h_join = cc + rr
@@ -135,49 +112,147 @@ def _match_full(cc, dd, rr, ss, gopen, goal=None) -> tuple[int, int, int]:
     return j, TYPE_GAP_S1, int(dd[j])
 
 
-def _match_orthogonal(codes0_bottom, codes1, scheme, end_gap, cc, dd, goal,
-                      config, stats) -> tuple[int, int, int]:
-    """Goal-based reverse half: transposed column strips from the right.
+def _match_orthogonal(guided, rows, vectors, scheme, config, stats,
+                      out) -> None:
+    """Goal-based reverse halves: transposed column strips from the right.
 
-    Returns (split column, join type, top value).  Stops as soon as the
-    goal score is matched, leaving the columns left of the split point
-    uncomputed (the gray area of Figure 7).
+    Every lane is matched against its CC/DD before any strip runs; then
+    the pending lanes advance ``config.strip`` rows per fused dispatch and
+    are re-matched, each dropping out at its first hit and leaving the
+    columns left of its split point uncomputed (the gray area of Figure
+    7).  Within the first strip that hits, the first H hit wins over the
+    first F hit.
     """
-    h = codes0_bottom.size
-    n = codes1.size
     gopen = scheme.gap_open
-    bias = gopen if end_gap != TYPE_MATCH else 0
-    # Transposed frame: rows = reversed S1 columns, columns = reversed
-    # bottom rows; original F becomes the sweep's E, so the tap records
-    # exactly (H, F-original) at the partition's split row.
-    sweep = RowSweeper(codes1[::-1], codes0_bottom[::-1], scheme,
-                       start_gap=swap_gap_type(end_gap),
-                       forced=end_gap != TYPE_MATCH,
-                       tap_columns=np.array([h]))
-    # Transposed row p corresponds to original column n - p; row 0 is the
-    # boundary (original column n) and is matched before any strip runs.
-    next_row = 0
-    while True:
-        rows = np.arange(next_row, sweep.i + 1)
-        next_row = sweep.i + 1
-        if rows.size:
-            cols = n - rows
-            rr = sweep.tap_H[rows, 0].astype(np.int64) - bias
-            ss = sweep.tap_E[rows, 0].astype(np.int64) - bias
-            h_hits = np.flatnonzero(cc[cols] + rr == goal)
-            f_hits = np.flatnonzero(dd[cols] + ss + gopen == goal)
-            if h_hits.size or f_hits.size:
-                stats.cells_reverse += sweep.cells
-                if h_hits.size:
-                    j = int(cols[h_hits[0]])
-                    return j, TYPE_MATCH, int(cc[j])
-                j = int(cols[f_hits[0]])
-                return j, TYPE_GAP_S1, int(dd[j])
-        if sweep.done:
+    lanes = {}
+    for k, (codes0, codes1, _, end_gap, _) in guided.items():
+        bottom = codes0[rows[k]:]
+        # Transposed frame: rows = reversed S1 columns, columns = reversed
+        # bottom rows; original F becomes the sweep's E, so the tap
+        # records exactly (H, F-original) at the partition's split row.
+        lanes[k] = RowSweeper(codes1[::-1], bottom[::-1], scheme,
+                              start_gap=swap_gap_type(end_gap),
+                              forced=end_gap != TYPE_MATCH,
+                              tap_columns=np.array([bottom.size]))
+    next_row = dict.fromkeys(lanes, 0)
+
+    def matched(k) -> bool:
+        _, codes1, _, end_gap, goal = guided[k]
+        sweep, (cc, dd) = lanes[k], vectors[k]
+        bias = gopen if end_gap != TYPE_MATCH else 0
+        # Transposed row p corresponds to original column n - p.
+        tap_rows = np.arange(next_row[k], sweep.i + 1)
+        next_row[k] = sweep.i + 1
+        cols = codes1.size - tap_rows
+        rr = sweep.tap_H[tap_rows, 0].astype(np.int64) - bias
+        hits = np.flatnonzero(cc[cols] + rr == goal)
+        join, top = TYPE_MATCH, cc
+        if not hits.size:
+            ss = sweep.tap_E[tap_rows, 0].astype(np.int64) - bias
+            hits = np.flatnonzero(dd[cols] + ss + gopen == goal)
+            join, top = TYPE_GAP_S1, dd
+        if not hits.size:
+            if not sweep.done:
+                return False
             stats.cells_reverse += sweep.cells
             raise MatchingError(
                 f"orthogonal matching exhausted all columns without goal {goal}")
-        sweep.advance(config.strip)
+        stats.cells_reverse += sweep.cells
+        j = int(cols[hits[0]])
+        out[k] = (rows[k], j, join, int(top[j]), goal)
+        return True
+
+    # Row 0 is the boundary (original column n), matched before any strip.
+    pending = [k for k in lanes if not matched(k)]
+    for bucket in plan_buckets([lanes[k] for k in pending]):
+        live = [pending[b] for b in bucket]
+        while live:
+            sweep_lanes([lanes[k] for k in live], config.strip)
+            live = [k for k in live if not matched(k)]
+
+
+def _find_midpoints(problems, scheme, config,
+                    stats) -> list[tuple[int, int, int, int, int]]:
+    """Every split of ``problems`` as ``(r, j, join, top_value, goal)``;
+    ``goal`` is the optimum the matching reached."""
+    rows = [codes0.size // 2 for codes0, *_ in problems]
+    tops = [RowSweeper(codes0[:r], codes1, scheme, start_gap=start_gap)
+            for (codes0, codes1, start_gap, _, _), r in zip(problems, rows)]
+    sweep_batched(tops)
+    stats.cells_forward += sum(top.cells for top in tops)
+    # CC (H) and DD (F) on the last row of each top half.
+    vectors = [(top.H.astype(np.int64), top.F.astype(np.int64))
+               for top in tops]
+    out: list = [None] * len(problems)
+    guided = {k: p for k, p in enumerate(problems)
+              if config.orthogonal and p[4] is not None}
+    full = [k for k in range(len(problems)) if k not in guided]
+    # Adjusted RR (H) and SS (F) tail vectors: a forward sweep over the
+    # reversed bottom half, forced when the end state is gap-typed, then
+    # de-biased by G_open.
+    tails = []
+    for k in full:
+        codes0, codes1, _, end_gap, _ = problems[k]
+        tails.append(RowSweeper(codes0[rows[k]:][::-1], codes1[::-1], scheme,
+                                start_gap=end_gap,
+                                forced=end_gap != TYPE_MATCH))
+    sweep_batched(tails)
+    for k, tail in zip(full, tails):
+        stats.cells_reverse += tail.cells
+        end_gap, goal = problems[k][3], problems[k][4]
+        bias = scheme.gap_open if end_gap != TYPE_MATCH else 0
+        rr = tail.H[::-1].astype(np.int64) - bias
+        ss = tail.F[::-1].astype(np.int64) - bias
+        cc, dd = vectors[k]
+        if goal is None:
+            # An unguided split also reveals the optimum.
+            goal = int(max((cc + rr).max(), (dd + ss + scheme.gap_open).max()))
+        out[k] = (rows[k], *_match_full(cc, dd, rr, ss, scheme.gap_open,
+                                        goal), goal)
+    if guided:
+        _match_orthogonal(guided, rows, vectors, scheme, config, stats, out)
+    return out
+
+
+def _split(problems, scheme, config, stats,
+           tracer) -> list[tuple[int, int, int, int, int]]:
+    """Validate ``problems`` and run :func:`_find_midpoints`, inside one
+    ``mm.find_midpoint`` span when traced."""
+    problems = [(np.asarray(codes0, dtype=np.uint8),
+                 np.asarray(codes1, dtype=np.uint8), start_gap, end_gap, goal)
+                for codes0, codes1, start_gap, end_gap, goal in problems]
+    for codes0, codes1, *_ in problems:
+        if codes0.size < 2 or codes1.size < 1:
+            raise MatchingError("find_midpoint needs m >= 2 and n >= 1")
+    if tracer is None:
+        return _find_midpoints(problems, scheme, config, stats)
+    with tracer.span("mm.find_midpoint", partitions=len(problems)) as span:
+        cells_before = stats.cells_forward + stats.cells_reverse
+        out = _find_midpoints(problems, scheme, config, stats)
+        span.set(cells=stats.cells_forward + stats.cells_reverse
+                 - cells_before)
+        return out
+
+
+def find_midpoints(problems, scheme: ScoringScheme, *,
+                   config: MMConfig | None = None,
+                   stats: MMStats | None = None,
+                   tracer=None) -> list[tuple[int, int, int, int]]:
+    """Many independent Myers-Miller splits, swept as fused lanes.
+
+    ``problems`` is a list of ``(codes0, codes1, start_gap, end_gap,
+    goal)``; each entry of the result is exactly what
+    :func:`find_midpoint` returns for that problem.  Every top half runs
+    through one set of length-bucketed :func:`sweep_lanes` batches, and so
+    does every reverse half — orthogonal ones strip by strip, each lane
+    dropping out at its first goal hit.  Stage 4 sends each refinement
+    round through one call.  With a ``tracer``, the call is wrapped in one
+    ``mm.find_midpoint`` span (``partitions``/``cells`` attributes).
+    """
+    config = config or MMConfig()
+    stats = stats if stats is not None else MMStats()
+    return [split[:4] for split in _split(problems, scheme, config, stats,
+                                          tracer)]
 
 
 def find_midpoint(codes0: np.ndarray, codes1: np.ndarray,
@@ -190,42 +265,12 @@ def find_midpoint(codes0: np.ndarray, codes1: np.ndarray,
 
     Returns ``(r, j, join_type, top_value)``: the optimal path crosses row
     ``r = m // 2`` at column ``j`` with the given join type (H or F), and
-    the top sub-problem's value is ``top_value``.  Stage 4 drives its
-    iterative refinement through this entry point; ``mm_align`` recurses on
-    it.  Requires ``m >= 2`` so both halves are non-empty.  With a
-    ``tracer``, the split is wrapped in an ``mm.find_midpoint`` span.
+    the top sub-problem's value is ``top_value``.  Requires ``m >= 2`` so
+    both halves are non-empty.  A one-problem :func:`find_midpoints`.
     """
-    config = config or MMConfig()
-    stats = stats if stats is not None else MMStats()
-    codes0 = np.asarray(codes0, dtype=np.uint8)
-    codes1 = np.asarray(codes1, dtype=np.uint8)
-    if codes0.size < 2 or codes1.size < 1:
-        raise MatchingError("find_midpoint needs m >= 2 and n >= 1")
-    if tracer is not None:
-        with tracer.span("mm.find_midpoint", m=int(codes0.size),
-                         n=int(codes1.size), goal=goal) as span:
-            cells_before = stats.cells_forward + stats.cells_reverse
-            out = _find_midpoint(codes0, codes1, scheme, start_gap, end_gap,
-                                 goal, config, stats)
-            span.set(row=out[0], column=out[1],
-                     cells=stats.cells_forward + stats.cells_reverse
-                           - cells_before)
-            return out
-    return _find_midpoint(codes0, codes1, scheme, start_gap, end_gap, goal,
-                          config, stats)
-
-
-def _find_midpoint(codes0, codes1, scheme, start_gap, end_gap, goal, config,
-                   stats) -> tuple[int, int, int, int]:
-    r = codes0.size // 2
-    cc, dd = _forward_vectors(codes0[:r], codes1, scheme, start_gap, stats)
-    if config.orthogonal and goal is not None:
-        j, join, top_value = _match_orthogonal(
-            codes0[r:], codes1, scheme, end_gap, cc, dd, goal, config, stats)
-    else:
-        rr, ss = _tail_vectors(codes0[r:], codes1, scheme, end_gap, stats)
-        j, join, top_value = _match_full(cc, dd, rr, ss, scheme.gap_open, goal)
-    return r, j, join, top_value
+    return find_midpoints([(codes0, codes1, start_gap, end_gap, goal)],
+                          scheme, config=config, stats=stats,
+                          tracer=tracer)[0]
 
 
 def mm_align(codes0: np.ndarray, codes1: np.ndarray, scheme: ScoringScheme,
@@ -298,19 +343,9 @@ def _mm_align(codes0, codes1, scheme, start_gap, end_gap, goal, config,
         return path.transposed(), score
 
     stats.splits += 1
-    if goal is None:
-        # One unguided split also reveals the optimum.
-        r = m // 2
-        cc, dd = _forward_vectors(codes0[:r], codes1, scheme, start_gap,
-                                  stats)
-        rr, ss = _tail_vectors(codes0[r:], codes1, scheme, end_gap, stats)
-        j_star, join, top_value = _match_full(cc, dd, rr, ss,
-                                              scheme.gap_open, None)
-        goal = int(max((cc + rr).max(), (dd + ss + scheme.gap_open).max()))
-    else:
-        r, j_star, join, top_value = find_midpoint(
-            codes0, codes1, scheme, start_gap=start_gap, end_gap=end_gap,
-            goal=goal, config=config, stats=stats, tracer=tracer)
+    [(r, j_star, join, top_value, goal)] = _split(
+        [(codes0, codes1, start_gap, end_gap, goal)], scheme, config, stats,
+        tracer)
 
     top, top_score = mm_align(codes0[:r], codes1[:j_star], scheme,
                               start_gap=start_gap, end_gap=join,

@@ -25,13 +25,12 @@ rows of Table IX.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import ClassVar
 
-from repro.constants import TYPE_MATCH, swap_gap_type
+from repro.constants import swap_gap_type
 from repro.errors import PartitionError
-from repro.align.myers_miller import MMConfig, MMStats, find_midpoint
+from repro.align.myers_miller import MMConfig, MMStats, find_midpoints
 from repro.core.config import PipelineConfig
 from repro.core.crosspoints import Crosspoint, CrosspointChain, Partition
 from repro.core.result import StageResult
@@ -64,30 +63,44 @@ class Stage4Result(StageResult):
     modeled_seconds: float
 
 
+def split_partitions(s0: Sequence, s1: Sequence, partitions,
+                     config: PipelineConfig, mm_config: MMConfig,
+                     stats: MMStats, *, tracer=None) -> list[Crosspoint]:
+    """One balanced, goal-guided Myers-Miller split of every partition,
+    swept together as the lanes of one :func:`find_midpoints` call.
+
+    A partition wider than tall (or one row tall) is split on its
+    transpose, so its middle *column* becomes the split line.
+    """
+    problems, flips = [], []
+    for p in partitions:
+        if p.degenerate:
+            raise PartitionError("degenerate partitions are not split")
+        rows, cols = s0.codes[p.start.i:p.end.i], s1.codes[p.start.j:p.end.j]
+        start_gap, end_gap = p.start.type, p.end.type
+        flip = (mm_config.balanced and p.width > p.height) or p.height < 2
+        if flip:
+            rows, cols = cols, rows
+            start_gap, end_gap = swap_gap_type(start_gap), swap_gap_type(end_gap)
+        problems.append((rows, cols, start_gap, end_gap, p.score))
+        flips.append(flip)
+    splits = find_midpoints(problems, config.scheme, config=mm_config,
+                            stats=stats, tracer=tracer)
+    points = []
+    for p, flip, (r, j, join, top_value) in zip(partitions, flips, splits):
+        if flip:
+            r, j, join = j, r, swap_gap_type(join)
+        points.append(Crosspoint(p.start.i + r, p.start.j + j,
+                                 p.start.score + top_value, join))
+    return points
+
+
 def split_partition(s0: Sequence, s1: Sequence, partition: Partition,
                     config: PipelineConfig, mm_config: MMConfig,
                     stats: MMStats, *, tracer=None) -> Crosspoint:
     """One balanced, goal-guided Myers-Miller split of a partition."""
-    start, end = partition.start, partition.end
-    h, w = partition.height, partition.width
-    if partition.degenerate:
-        raise PartitionError("degenerate partitions are not split")
-    codes0 = s0.codes[start.i:end.i]
-    codes1 = s1.codes[start.j:end.j]
-    goal = partition.score
-    transpose = (mm_config.balanced and w > h) or h < 2
-    if transpose:
-        r, j, join, top_value = find_midpoint(
-            codes1, codes0, config.scheme,
-            start_gap=swap_gap_type(start.type), end_gap=swap_gap_type(end.type),
-            goal=goal, config=mm_config, stats=stats, tracer=tracer)
-        return Crosspoint(start.i + j, start.j + r,
-                          start.score + top_value, swap_gap_type(join))
-    r, j, join, top_value = find_midpoint(
-        codes0, codes1, config.scheme, start_gap=start.type,
-        end_gap=end.type, goal=goal, config=mm_config, stats=stats,
-        tracer=tracer)
-    return Crosspoint(start.i + r, start.j + j, start.score + top_value, join)
+    return split_partitions(s0, s1, [partition], config, mm_config, stats,
+                            tracer=tracer)[0]
 
 
 def _oversized(partition: Partition, limit: int) -> bool:
@@ -99,10 +112,11 @@ def run_stage4(s0: Sequence, s1: Sequence, config: PipelineConfig,
                executor=None) -> Stage4Result:
     """Refine the chain until every partition fits max_partition_size.
 
-    With a wavefront executor the per-iteration splits fan across its
-    process pool (largest partition first — the split cost is ~area, so
-    size-aware order bounds the makespan); the sequence codes are shared
-    once per stage, not pickled per split.
+    Serially, each iteration's splits run as the fused lanes of one
+    :func:`split_partitions` call.  With a wavefront executor they fan
+    across its process pool instead (largest partition first — the split
+    cost is ~area, so size-aware order bounds the makespan); the sequence
+    codes are shared once per stage, not pickled per split.
     """
     tel = telemetry if telemetry is not None else NULL_TELEMETRY
     mm_config = MMConfig(orthogonal=config.stage4_orthogonal,
@@ -131,36 +145,27 @@ def run_stage4(s0: Sequence, s1: Sequence, config: PipelineConfig,
             it += 1
             tick = time.perf_counter()
             stats = MMStats()
-
-            def split(item):
-                _, p = item
-                local = MMStats()
-                # Re-anchor worker-thread spans under the stage span.
-                with tel.attach(stage_span):
-                    point = split_partition(s0, s1, p, config, mm_config,
-                                            local, tracer=tel.tracer)
-                return point, local
-
             if executor is not None:
                 payloads = [{"partition": p, "scheme": config.scheme,
                              "mm_config": mm_config} for _, p in todo]
                 results = executor.map_calls(
                     "split", payloads, refs,
                     sizes=[p.area for _, p in todo])
-            elif config.workers > 1:
-                with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                    results = list(pool.map(split, todo))
+                new_points = [point for point, _ in results]
+                for _, local in results:
+                    stats.cells_forward += local.cells_forward
+                    stats.cells_reverse += local.cells_reverse
             else:
-                results = [split(item) for item in todo]
+                new_points = split_partitions(
+                    s0, s1, [p for _, p in todo], config, mm_config, stats,
+                    tracer=tel.tracer)
 
             points: list[Crosspoint] = list(chain.points)
             # Insert new crosspoints after their partition's start point;
             # walk in reverse so earlier indices stay valid.
-            for (k, _), (point, local) in sorted(zip(todo, results),
-                                                 key=lambda t: -t[0][0]):
+            for (k, _), point in sorted(zip(todo, new_points),
+                                        key=lambda t: -t[0][0]):
                 points.insert(k + 1, point)
-                stats.cells_forward += local.cells_forward
-                stats.cells_reverse += local.cells_reverse
             new_chain = CrosspointChain(points)
             wall = time.perf_counter() - tick
             cells = stats.cells_forward + stats.cells_reverse

@@ -67,12 +67,17 @@ class TestSweepLanes:
     def test_all_padding_tail_rows(self, rng, scheme):
         """A shallow lane finishes early and must freeze at its own
         final row while the deep lane keeps sweeping; chunked advances
-        cross the freeze boundary mid-batch."""
+        cross the freeze boundary mid-batch.  Every lane carries taps
+        (a different count each), so the per-window tap gather and its
+        per-lane scatter are checked across the freeze too — the
+        pattern of Myers-Miller's orthogonal strips."""
         specs = [(4, 60), (64, 8), (17, 17)]
+        taps = [[0, 30, 60], [8], [2, 16]]
         refs, lanes = [], []
-        for m, n in specs:
+        for (m, n), cols in zip(specs, taps):
             ref, lane = _twin(*_codes(rng, m, n), scheme,
-                              local=True, track_best=True)
+                              local=True, track_best=True,
+                              tap_columns=np.array(cols))
             refs.append(ref)
             lanes.append(lane)
         while any(lane.i < lane.m for lane in lanes):

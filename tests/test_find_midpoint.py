@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.constants import TYPE_GAP_S0, TYPE_GAP_S1, TYPE_MATCH
 from repro.errors import MatchingError
 from repro.align import reference
-from repro.align.myers_miller import MMConfig, MMStats, find_midpoint
+from repro.align.myers_miller import (MMConfig, MMStats, find_midpoint,
+                                      find_midpoints)
 from repro.align.scoring import PAPER_SCHEME
 from repro.sequences.sequence import Sequence
 
@@ -18,6 +19,10 @@ from tests.conftest import SCHEMES, make_pair
 
 dna = st.text(alphabet="ACGT", min_size=2, max_size=48)
 gap_states = st.sampled_from([TYPE_MATCH, TYPE_GAP_S0, TYPE_GAP_S1])
+#: One split problem as text: (rows, columns, start, end, known goal?).
+problem_specs = st.tuples(st.text(alphabet="ACGT", min_size=2, max_size=40),
+                          st.text(alphabet="ACGT", min_size=1, max_size=40),
+                          gap_states, gap_states, st.booleans())
 
 
 def ref_goal(s0, s1, scheme, start, end):
@@ -91,6 +96,13 @@ class TestFindMidpoint:
         with pytest.raises(MatchingError):
             find_midpoint(np.zeros(1, np.uint8), np.zeros(5, np.uint8),
                           scheme)
+        # One short problem fails a whole batch.
+        ok = (np.zeros(4, np.uint8), np.zeros(4, np.uint8),
+              TYPE_MATCH, TYPE_MATCH, None)
+        short = (np.zeros(1, np.uint8), np.zeros(5, np.uint8),
+                 TYPE_MATCH, TYPE_MATCH, None)
+        with pytest.raises(MatchingError):
+            find_midpoints([ok, short], scheme)
 
     def test_stats_accumulate(self, rng, scheme):
         s0, s1 = make_pair(rng, 40, 40)
@@ -100,3 +112,56 @@ class TestFindMidpoint:
                       config=MMConfig(orthogonal=True, strip=8))
         assert stats.cells_forward == 20 * 40
         assert 0 < stats.cells_reverse <= 20 * 40
+
+
+class TestFindMidpoints:
+    """The fused batch must be invisible: every lane lands on exactly
+    the split (and the cell counts) its own single-problem call does."""
+
+    @staticmethod
+    def problems(specs):
+        seqs, problems = [], []
+        for t0, t1, start, end, known in specs:
+            s0, s1 = Sequence.from_text(t0), Sequence.from_text(t1)
+            goal = ref_goal(s0, s1, PAPER_SCHEME, start, end) if known else None
+            seqs.append((s0, s1, start, end))
+            problems.append((s0.codes, s1.codes, start, end, goal))
+        return seqs, problems
+
+    @settings(max_examples=40, deadline=None)
+    @given(specs=st.lists(problem_specs, min_size=1, max_size=12),
+           orthogonal=st.booleans(), strip=st.integers(1, 8))
+    @example(specs=[("AC", "G", s, e, True)
+                    for s in (TYPE_MATCH, TYPE_GAP_S0, TYPE_GAP_S1)
+                    for e in (TYPE_MATCH, TYPE_GAP_S0, TYPE_GAP_S1)]
+             + [("ACGTTGCA" * 5, "T", TYPE_MATCH, TYPE_GAP_S0, False)],
+             orthogonal=True, strip=1)
+    def test_batch_equals_single_calls(self, specs, orthogonal, strip):
+        seqs, problems = self.problems(specs)
+        config = MMConfig(orthogonal=orthogonal, strip=strip)
+        batch_stats, single_stats = MMStats(), MMStats()
+        batch = find_midpoints(problems, PAPER_SCHEME, config=config,
+                               stats=batch_stats)
+        single = [find_midpoint(c0, c1, PAPER_SCHEME, start_gap=start,
+                                end_gap=end, goal=goal, config=config,
+                                stats=single_stats)
+                  for c0, c1, start, end, goal in problems]
+        assert batch == single
+        assert batch_stats == single_stats
+        for (s0, s1, start, end), split in zip(seqs, batch):
+            assert split[0] == len(s0) // 2
+            check_split(s0, s1, PAPER_SCHEME, start, end, *split)
+
+    @pytest.mark.parametrize("orthogonal", [True, False])
+    def test_one_wrong_goal_fails_the_batch(self, rng, scheme, orthogonal):
+        problems = []
+        for m, n in [(20, 24), (9, 3), (31, 30)]:
+            s0, s1 = make_pair(rng, m, n)
+            goal = ref_goal(s0, s1, scheme, TYPE_MATCH, TYPE_MATCH)
+            problems.append((s0.codes, s1.codes, TYPE_MATCH, TYPE_MATCH, goal))
+        config = MMConfig(orthogonal=orthogonal, strip=4)
+        find_midpoints(problems, scheme, config=config)
+        c0, c1, start, end, goal = problems[1]
+        problems[1] = (c0, c1, start, end, goal + 3)
+        with pytest.raises(MatchingError):
+            find_midpoints(problems, scheme, config=config)

@@ -20,7 +20,9 @@ from repro.core import (
     small_config,
     sra_bytes_for_rows,
 )
+from repro.align.myers_miller import MMConfig, MMStats
 from repro.core.stage1 import ROWS_NS
+from repro.core.stage4 import split_partition
 from repro.storage.sra import SpecialLineStore
 
 from tests.conftest import make_pair
@@ -288,6 +290,35 @@ class TestStage4:
             CrosspointChain(plain.crosspoints).end.score
         # Orthogonal execution processes fewer cells (Table IX).
         assert orth.cells < plain.cells
+
+    @pytest.mark.parametrize("orthogonal", [True, False])
+    def test_fused_rounds_equal_split_partition_loop(self, pair, orthogonal):
+        """Each round's splits run as one lane batch; the chain and the
+        per-round cell counts must equal one split_partition per
+        oversized partition."""
+        import dataclasses
+        s0, s1 = pair
+        config = dataclasses.replace(config_for(pair, max_partition_size=10),
+                                     stage4_orthogonal=orthogonal)
+        chain = self.chain_for(pair, config)
+        result = run_stage4(s0, s1, config, chain)
+        mm_config = MMConfig(orthogonal=orthogonal, strip=10)
+        cells = []
+        while True:
+            todo = [(k, p) for k, p in enumerate(chain.partitions())
+                    if not p.degenerate and p.max_dim > 10]
+            if not todo:
+                break
+            stats = MMStats()
+            points = list(chain.points)
+            for k, p in reversed(todo):
+                points.insert(k + 1, split_partition(s0, s1, p, config,
+                                                     mm_config, stats))
+            cells.append(stats.cells)
+            chain = CrosspointChain(points)
+        assert len(cells) > 1
+        assert result.crosspoints == chain.points
+        assert [it.cells for it in result.iterations] == cells
 
 
 class TestStage5And6:
