@@ -4,7 +4,7 @@ One object, :class:`RowSweeper`, implements the forward Gotoh recurrence
 row by row in O(n) memory with **no Python loop over cells**: per row, the
 F update and the diagonal contribution are element-wise, and the in-row E
 recurrence — the only true serial dependency — is resolved with a running
-``maximum.accumulate`` scan:
+maximum:
 
     E(i,j) = max_{k<j} ( X(i,k) - G_first - (j-1-k) * G_ext )
            = max_{k<j} ( X(i,k) + k*G_ext )  -  G_first - (j-1)*G_ext
@@ -13,6 +13,25 @@ where ``X`` collects every non-E source of H (diagonal, F, the local-zero
 floor, and the column-0 boundary).  Replacing H by X inside the scan is
 valid because opening a new gap *inside* an existing gap never wins when
 ``G_first >= G_ext`` (asserted by :class:`ScoringScheme`).
+
+NumPy runs ``maximum.accumulate`` as a serial loop, several times slower
+per element than any other pass of the row.  A local row bounds its own
+scan instead.  There every ``X >= 0``, so with ``T(k) = X(k) + k*G_ext``
+and ``M = max X``, a source ``k`` can reach column ``j`` only when
+
+    T(k) >= T(j)  =>  (j-k) * G_ext <= X(k) - X(j) <= M
+                  =>  j - k < reach = M // G_ext + 1.
+
+The running maximum of ``T`` is therefore a window maximum of width
+``reach``, and ``ceil(log2 reach)`` doubling steps
+``T'(j) = max(T(j), T(j-d))`` for ``d = 1, 2, 4, ...`` compute it exactly,
+each one a wide element-wise pass.  :func:`_gap_scan` takes that path when
+the row is at least ``_SCAN_MIN_WIDTH`` columns wide and needs no more
+steps than its width affords (one per ``_SCAN_MIN_WIDTH`` columns, plus
+one, at most ``_SCAN_MAX_STEPS``); otherwise, and always for global
+sweeps and edge-seeded tiles, whose score range spans about
+``G_ext * n``, it keeps the serial scan.  Both constants come from
+``benchmarks/bench_gap_scan.py``, which times the two scans by width.
 
 The row body lives in exactly one place, :func:`row_step`, which runs
 over arrays of shape ``(..., n+1)``: the same code advances one pair
@@ -48,8 +67,44 @@ from repro.align.profile import query_profile
 from repro.align.scoring import ScoringScheme
 
 
+#: Narrowest row (``n + 1`` columns) that may take the doubling scan.
+_SCAN_MIN_WIDTH = 2048
+#: Most doubling steps any row takes instead of the serial scan.
+_SCAN_MAX_STEPS = 10
+
+
+def _gap_scan(X, T, E, ext_ramp, gext, bounded):
+    """Write the running maximum of ``X + ext_ramp`` along the last axis
+    into ``T``; returns ``max(X)`` when it was computed, else ``None``.
+
+    ``bounded`` rows (local, no seeded boundary, so ``X >= 0``) at least
+    ``_SCAN_MIN_WIDTH`` wide take the doubling scan of the module
+    docstring when their reach needs few enough steps.  The steps
+    ping-pong between ``T`` and ``E`` — free until the caller derives E
+    from ``T`` — starting in whichever buffer makes the last step land
+    in ``T``, so the scan allocates nothing.
+    """
+    width = X.shape[-1]
+    bound = int(X.max()) if bounded and width >= _SCAN_MIN_WIDTH else None
+    if bound is not None:
+        steps = (bound // int(gext)).bit_length()
+        if steps <= min(_SCAN_MAX_STEPS, width // _SCAN_MIN_WIDTH + 1):
+            a, b = (T, E) if steps % 2 == 0 else (E, T)
+            np.add(X, ext_ramp, out=a)
+            d = 1
+            for _ in range(steps):
+                np.maximum(a[..., d:], a[..., :-d], out=b[..., d:])
+                b[..., :d] = a[..., :d]
+                a, b = b, a
+                d *= 2
+            return bound
+    np.add(X, ext_ramp, out=T)
+    np.maximum.accumulate(T, axis=-1, out=T)
+    return bound
+
+
 def row_step(Hp, Fp, H, E, F, X, T, sub, gext, gfirst, ext_ramp, egap,
-             local, left=None, gopen=None) -> None:
+             local, left=None, gopen=None) -> int | None:
     """Advance one Gotoh row over arrays of shape ``(..., n+1)``.
 
     ``Hp``/``Fp`` are the previous row; in-place callers pass ``H``/``F``
@@ -65,6 +120,12 @@ def row_step(Hp, Fp, H, E, F, X, T, sub, gext, gfirst, ext_ramp, egap,
     the boundary column exposes.  ``local`` applies the Smith-Waterman
     zero floor to ``X[..., 1:]`` and pins ``F[..., 0]`` to -inf (column 0
     is never a vertical-gap source in a local sweep).
+
+    Returns ``max(X)`` when the E scan computed it — a local, unseeded
+    row at least ``_SCAN_MIN_WIDTH`` wide — and ``None`` otherwise.  In
+    such a row it equals ``H.max()`` (every ``E <= max(X) - G_first``),
+    so a caller may use it as the row maximum; over lanes it bounds
+    every lane at once.
     """
     # F (vertical) update — purely element-wise, includes column 0.
     # X/T are free at this point, so the update runs entirely in the
@@ -77,7 +138,9 @@ def row_step(Hp, Fp, H, E, F, X, T, sub, gext, gfirst, ext_ramp, egap,
     np.add(Hp[..., :-1], sub, out=Xc)
     np.maximum(Xc, F[..., 1:], out=Xc)
     if left is not None:
-        X[..., 0] = left[0]
+        # The incoming gap joins the scan as a virtual source at column 0
+        # (ext_ramp[0] == 0); H[..., 0] is overwritten below.
+        X[..., 0] = np.maximum(left[0], left[1] + gopen)
     elif local:
         X[..., 0] = 0
     else:
@@ -85,16 +148,14 @@ def row_step(Hp, Fp, H, E, F, X, T, sub, gext, gfirst, ext_ramp, egap,
     if local:
         F[..., 0] = NEG_INF
         np.maximum(Xc, 0, out=Xc)
-    # E via the prefix-max scan.
-    np.add(X, ext_ramp, out=T)
-    if left is not None:
-        T[..., 0] = np.maximum(T[..., 0], left[1] + gopen)
-    np.maximum.accumulate(T, axis=-1, out=T)
+    # E via the running maximum of X + ext_ramp.
+    bound = _gap_scan(X, T, E, ext_ramp, gext, local and left is None)
     np.subtract(T[..., :-1], egap, out=E[..., 1:])
     E[..., 0] = NEG_INF if left is None else left[1]
     np.maximum(X, E, out=H)
     if left is not None:
         H[..., 0] = left[2]
+    return bound
 
 
 class RowSweeper:
@@ -233,8 +294,8 @@ class RowSweeper:
     def advance(self, nrows: int | None = None) -> int:
         """Process up to ``nrows`` further rows; returns the count processed.
 
-        The per-row body is 8 vectorized O(n) operations; see module
-        docstring for the scan derivation.
+        Each row is one :func:`row_step`; see the module docstring for
+        the E scan and when it takes the doubling path.
         """
         if nrows is None:
             nrows = self.m - self.i
@@ -261,12 +322,13 @@ class RowSweeper:
         stop = self.i + nrows
         while self.i < stop:
             i = self.i + 1
-            row_step(H, F, H, E, F, X, T, self._sub_lut[self.codes0[i - 1]],
-                     gext, gfirst, ext_ramp, egap, local)
+            bound = row_step(H, F, H, E, F, X, T,
+                             self._sub_lut[self.codes0[i - 1]],
+                             gext, gfirst, ext_ramp, egap, local)
             self.i = i
 
             if self.track_best or self.watch_value is not None:
-                row_max = int(H.max())
+                row_max = int(H.max()) if bound is None else bound
                 if self.track_best and row_max > self.best:
                     self.best = row_max
                     self.best_pos = (i, int(np.argmax(H)))
