@@ -1,20 +1,34 @@
-"""Serial E scan against k doubling steps — the table behind the two
-constants that choose ``rowscan``'s in-row gap scan.
+"""Serial E scan against the doubling and block scans, and the scalar
+zero floor against the zero row — the table behind the constants that
+choose ``rowscan``'s in-row gap scan.
 
-For each row width it times :func:`repro.align.rowscan._gap_scan` three
-ways over one random local row (``X >= 0``, ``G_ext = 1``):
+For each 1-D row width and each ``(K, w)`` lane block shape Stage 4
+sweeps (``LANE_SHAPES``) it times
+:func:`repro.align.rowscan._gap_scan` over one random local row
+(``X >= 0``, ``G_ext = 1``), every variant forced by patching the
+module's constants by name:
 
-* ``serial`` — ``np.maximum.accumulate``, the path every global or
-  narrow row takes;
-* ``+bound`` — the serial scan plus the ``max(X)`` that rows above
-  ``_SCAN_MIN_WIDTH`` pay on either path (a tracking sweep reuses it as
+* ``serial`` — ``np.maximum.accumulate``, what a row below the block
+  scan's cell floor takes when it cannot double;
+* ``+bound`` — the serial scan plus the ``max(X)`` that local rows above
+  ``_SCAN_MIN_WIDTH`` pay on every path (a tracking sweep reuses it as
   the row maximum instead of ``H.max()``);
-* ``k=1..`` — the doubling scan forced to ``k`` steps, bound included.
+* ``k=1..`` — the bounded doubling scan forced to ``k`` steps, bound
+  included;
+* ``b=1..4`` — the two-round block scan with ``2**b``-column blocks,
+  what global rows, seeded tiles and long-reach local rows take once
+  they hold ``_BLOCK_MIN_CELLS`` cells;
+* ``max(X,0)`` / ``max(X,zero)`` — the local zero floor against the
+  scalar ``0`` and against an all-zero array of the row's shape.
 
-A row above the width floor should take ``k`` steps only where ``k``
-beats ``+bound``; ``rowscan``'s rule (one step per ``_SCAN_MIN_WIDTH``
-columns plus one, at most ``_SCAN_MAX_STEPS``) is marked with ``*``.
-Times are medians over ``--repeats`` rounds, in microseconds per scan.
+``*`` marks what ``rowscan``'s rule picks: every ``k`` up to the step
+cap (one step per ``_SCAN_MIN_WIDTH`` columns plus one, at most
+``_SCAN_MAX_STEPS``), and for an unbounded row ``serial`` below the cell
+floor or ``b=_BLOCK_STEPS`` at or above it.  A marked ``k`` should beat
+``+bound``, a marked ``b`` should beat ``serial`` and an unmarked one
+should not, and ``max(X,zero)`` — the floor ``row_step`` runs — should
+beat ``max(X,0)``.  Times are medians over ``--repeats`` rounds, in
+microseconds per call.
 
 Usage::
 
@@ -38,48 +52,68 @@ import numpy as np
 from repro.align import rowscan
 from repro.constants import SCORE_DTYPE
 
-DEFAULT_WIDTHS = (1024, 1536, 2048, 3072, 4096, 6144, 8192, 12288, 16384,
-                  24576)
-_NUMBER = 50  # scans per timed sample
+DEFAULT_WIDTHS = (1024, 1536, 2048, 2560, 3072, 4096, 6144, 8192, 12288,
+                  16384, 20480, 24576)
+#: Lane blocks (K lanes x widest lane + 1) of the shapes Stage 4 sweeps.
+LANE_SHAPES = ((16, 2000), (32, 1000), (32, 2500), (128, 200))
+BLOCK_STEPS = (1, 2, 3, 4)
+_NUMBER = 50  # calls per timed sample
+#: Every scan off: no doubling, no block scan, bound computed at any width.
+_SERIAL = {"_SCAN_MIN_WIDTH": 1, "_SCAN_MAX_STEPS": -1,
+           "_BLOCK_MIN_CELLS": sys.maxsize}
 
 
-def measure(width: int, max_steps: int, repeats: int) -> dict:
-    """Median microseconds per scan of one ``width``-column row.
+def measure(shape: tuple[int, ...], max_steps: int, repeats: int) -> dict:
+    """Median microseconds per call on one row or lane block of ``shape``.
 
     Every variant runs once per round, ``repeats`` rounds, so host drift
     spreads over all of them alike.
     """
-    rng = np.random.default_rng(width)
-    base = rng.integers(0, 1 << 20, width).astype(SCORE_DTYPE)
+    rng = np.random.default_rng(list(shape))
+    base = rng.integers(0, 1 << 20, shape).astype(SCORE_DTYPE)
     X = np.empty_like(base)
     T = np.empty_like(X)
     E = np.empty_like(X)
+    zero = np.zeros_like(X)
+    width = shape[-1]
     ramp = np.arange(width, dtype=SCORE_DTYPE)
     gext = SCORE_DTYPE(1)
-    # name -> (max steps, bounded, max(X)), with the width floor at 1 so
-    # every width computes the bound; max(X) = 2**(k-1) makes the bound
-    # need exactly k steps.
-    variants = {"serial": (-1, False, 29), "+bound": (-1, True, 29)}
+    # name -> (constants, bounded, max(X)); max(X) = 2**(k-1) makes the
+    # bound need exactly k steps.
+    variants = {"serial": (_SERIAL, False, 29), "+bound": (_SERIAL, True, 29)}
     for k in range(1, max_steps + 1):
-        variants[k] = (max_steps, True, 2 ** (k - 1))
-    samples: dict = {name: [] for name in variants}
-    saved = rowscan._SCAN_MIN_WIDTH, rowscan._SCAN_MAX_STEPS
+        variants[f"k={k}"] = ({**_SERIAL, "_SCAN_MAX_STEPS": max_steps},
+                              True, 2 ** (k - 1))
+    for s in BLOCK_STEPS:
+        variants[f"b={s}"] = ({**_SERIAL, "_BLOCK_MIN_CELLS": 0,
+                               "_BLOCK_STEPS": s}, False, 29)
+    floors = {"max(X,0)": 0, "max(X,zero)": zero}
+    samples: dict = {name: [] for name in [*variants, *floors]}
+    saved = {name: getattr(rowscan, name)
+             for name in [*_SERIAL, "_BLOCK_STEPS"]}
     try:
         for _ in range(repeats):
-            for name, (cap, bounded, peak) in variants.items():
-                rowscan._SCAN_MIN_WIDTH, rowscan._SCAN_MAX_STEPS = 1, cap
+            for name, (constants, bounded, peak) in variants.items():
+                for constant, value in constants.items():
+                    setattr(rowscan, constant, value)
                 np.remainder(base, peak + 1, out=X)
-                X[width // 2] = peak
+                X.reshape(-1)[X.size // 2] = peak
 
                 def scan():
                     rowscan._gap_scan(X, T, E, ramp, gext, bounded)
                 scan()
                 samples[name].append(timeit.timeit(scan, number=_NUMBER))
+            for name, operand in floors.items():
+                def floor():
+                    np.maximum(X, operand, out=X)
+                floor()
+                samples[name].append(timeit.timeit(floor, number=_NUMBER))
     finally:
-        rowscan._SCAN_MIN_WIDTH, rowscan._SCAN_MAX_STEPS = saved
+        for constant, value in saved.items():
+            setattr(rowscan, constant, value)
     row = {name: statistics.median(runs) / _NUMBER * 1e6
            for name, runs in samples.items()}
-    row["width"] = width
+    row["shape"] = shape
     return row
 
 
@@ -90,16 +124,27 @@ def step_cap(width: int) -> int:
     return min(rowscan._SCAN_MAX_STEPS, width // rowscan._SCAN_MIN_WIDTH + 1)
 
 
+def picks(shape: tuple[int, ...]) -> set[str]:
+    """The columns ``rowscan``'s rule would take for this shape."""
+    width, cells = shape[-1], int(np.prod(shape))
+    chosen = {f"k={k}" for k in range(1, step_cap(width) + 1)}
+    chosen.add("serial" if cells < rowscan._BLOCK_MIN_CELLS
+               else f"b={rowscan._BLOCK_STEPS}")
+    chosen.add("max(X,zero)")
+    return chosen
+
+
 def render(rows: list[dict], max_steps: int) -> str:
-    steps = range(1, max_steps + 1)
-    head = ["width", "serial", "+bound", *(f"k={k}" for k in steps)]
+    names = ["serial", "+bound", *(f"k={k}" for k in range(1, max_steps + 1)),
+             *(f"b={s}" for s in BLOCK_STEPS), "max(X,0)", "max(X,zero)"]
+    head = ["row", *names]
     lines = ["| " + " | ".join(head) + " |",
              "|" + "---|" * len(head)]
     for row in rows:
-        cap = step_cap(row["width"])
-        cells = [f"{row['width']:,}", f"{row['serial']:.1f}",
-                 f"{row['+bound']:.1f}"]
-        cells += [f"{row[k]:.1f}" + ("*" if k <= cap else "") for k in steps]
+        chosen = picks(row["shape"])
+        cells = [" x ".join(f"{d:,}" for d in row["shape"])]
+        cells += [f"{row[name]:.1f}" + ("*" if name in chosen else "")
+                  for name in names]
         lines.append("| " + " | ".join(cells) + " |")
     return "\n".join(lines)
 
@@ -111,7 +156,8 @@ def main(argv=None) -> int:
     parser.add_argument("--max-steps", type=int, default=14)
     parser.add_argument("--repeats", type=int, default=15)
     args = parser.parse_args(argv)
-    rows = [measure(w, args.max_steps, args.repeats) for w in args.widths]
+    shapes = [(w,) for w in args.widths] + list(LANE_SHAPES)
+    rows = [measure(shape, args.max_steps, args.repeats) for shape in shapes]
     print(render(rows, args.max_steps))
     return 0
 

@@ -49,7 +49,7 @@ import numpy as np
 
 from repro.constants import NEG_INF, SCORE_DTYPE
 from repro.errors import ConfigError
-from repro.align.rowscan import row_step
+from repro.align.rowscan import row_step, zero_row
 
 
 def sweep_lanes(lanes, nrows: int | None = None) -> int:
@@ -104,6 +104,7 @@ def sweep_lanes(lanes, nrows: int | None = None) -> int:
     gfirst = SCORE_DTYPE(scheme.gap_first)
     ext_ramp = np.arange(N + 1, dtype=SCORE_DTYPE) * gext
     egap = gfirst + ext_ramp[:-1]
+    zero = zero_row((K, N + 1), local)
 
     # Packed batch state.  Lane k owns columns 0..n_k; padded columns
     # start at the sentinel and evolve harmlessly (see module docstring).
@@ -171,7 +172,8 @@ def sweep_lanes(lanes, nrows: int | None = None) -> int:
         # Every lane's substitution vector in one gather.
         np.take(lut, flat_codes[:kact, s - 1], axis=0, out=sub[:kact])
         row_step(Hs, Fs, Hs, Eb[:kact], Fs, Xb[:kact], Tb[:kact],
-                 sub[:kact], gext, gfirst, ext_ramp, egap, local)
+                 sub[:kact], gext, gfirst, ext_ramp, egap,
+                 None if zero is None else zero[:kact])
 
         if need_rowmax:
             # Per-lane row maximum (padded columns excluded).

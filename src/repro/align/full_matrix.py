@@ -20,7 +20,7 @@ from repro.errors import AlignmentError
 from repro.align.alignment import Alignment
 from repro.align.profile import build_profile
 from repro.align.reference import DPMatrices, _traceback, best_cell
-from repro.align.rowscan import row_step
+from repro.align.rowscan import row_step, zero_row
 from repro.align.scoring import ScoringScheme
 from repro.sequences.sequence import N_CODE, Sequence
 
@@ -57,11 +57,12 @@ def dp_matrices(codes0: np.ndarray, codes1: np.ndarray, scheme: ScoringScheme,
 
     sub_lut = build_profile(scheme, codes1)
     egap = gfirst + ext_ramp[:-1]
+    zero = zero_row(n + 1, local)
     X = np.empty(n + 1, dtype=SCORE_DTYPE)
     T = np.empty(n + 1, dtype=SCORE_DTYPE)
     for i in range(1, m + 1):
         row_step(H[i - 1], F[i - 1], H[i], E[i], F[i], X, T,
-                 sub_lut[codes0[i - 1]], gext, gfirst, ext_ramp, egap, local)
+                 sub_lut[codes0[i - 1]], gext, gfirst, ext_ramp, egap, zero)
     return DPMatrices(H, E, F)
 
 

@@ -14,24 +14,57 @@ floor, and the column-0 boundary).  Replacing H by X inside the scan is
 valid because opening a new gap *inside* an existing gap never wins when
 ``G_first >= G_ext`` (asserted by :class:`ScoringScheme`).
 
-NumPy runs ``maximum.accumulate`` as a serial loop, several times slower
-per element than any other pass of the row.  A local row bounds its own
-scan instead.  There every ``X >= 0``, so with ``T(k) = X(k) + k*G_ext``
-and ``M = max X``, a source ``k`` can reach column ``j`` only when
+NumPy runs ``maximum.accumulate`` as a serial loop, about 3 ns per
+cell against about 0.2 ns for a wide element-wise pass of the row
+(NumPy 2.4 on a 2-vCPU Xeon host), so :func:`_gap_scan` recasts it as
+wide passes wherever that pays.  Its building block is the doubling
+step ``T'(j) = max(T(j), T(j-d))`` (with ``T'(j) = T(j)`` for
+``j < d``): ``s`` steps with ``d = 1, 2, 4, ...`` turn ``T`` into its
+window maximum over the ``2^s`` columns ending at each ``j``, clipped
+at column 0.
+
+A local row bounds its own scan.  There every ``X >= 0``, so with
+``T(k) = X(k) + k*G_ext`` and ``M = max X``, a source ``k`` can reach
+column ``j`` only when
 
     T(k) >= T(j)  =>  (j-k) * G_ext <= X(k) - X(j) <= M
                   =>  j - k < reach = M // G_ext + 1.
 
 The running maximum of ``T`` is therefore a window maximum of width
-``reach``, and ``ceil(log2 reach)`` doubling steps
-``T'(j) = max(T(j), T(j-d))`` for ``d = 1, 2, 4, ...`` compute it exactly,
-each one a wide element-wise pass.  :func:`_gap_scan` takes that path when
-the row is at least ``_SCAN_MIN_WIDTH`` columns wide and needs no more
-steps than its width affords (one per ``_SCAN_MIN_WIDTH`` columns, plus
-one, at most ``_SCAN_MAX_STEPS``); otherwise, and always for global
-sweeps and edge-seeded tiles, whose score range spans about
-``G_ext * n``, it keeps the serial scan.  Both constants come from
-``benchmarks/bench_gap_scan.py``, which times the two scans by width.
+``reach``, and ``ceil(log2 reach)`` doubling steps compute it exactly.
+A row at least ``_SCAN_MIN_WIDTH`` columns wide takes that path when it
+needs no more steps than its width affords (one per ``_SCAN_MIN_WIDTH``
+columns, plus one, at most ``_SCAN_MAX_STEPS``).
+
+Every other row — global sweeps and edge-seeded tiles, whose score
+range spans about ``G_ext * n``, and local rows whose reach is too long
+— takes an exact two-round block scan once it holds at least
+``_BLOCK_MIN_CELLS`` cells.  With ``B = 2^s`` (``s = _BLOCK_STEPS``):
+
+1. ``s`` doubling steps make each block end (columns ``B-1, 2B-1, ...``)
+   the maximum of its own block;
+2. one ``maximum.accumulate`` over the strided view of the block ends,
+   ``1/B`` of the row, makes each of them the exact prefix maximum;
+3. ``s`` more doubling steps give the prefix maximum everywhere: every
+   ``B``-column window ending at ``j`` holds exactly one block end
+   ``e`` (or is clipped at column 0), whose value is the prefix maximum
+   up to ``e``, and the window maxima of round 1 cover ``e+1 .. j``.
+
+Smaller rows keep the serial scan, which the block scan does not beat
+below that floor.  Both constant pairs come from
+``benchmarks/bench_gap_scan.py``, which times every scan by width and
+lane shape.  All three scans compute the same maxima, so every
+observable is bit-identical whichever one a row takes.
+
+The doubling passes run over the flattened row or ``(K, n+1)`` lane
+block: a shift by ``d`` leaks the previous lane's last ``d`` columns
+into each lane's first ``d``, exactly the columns each step then
+restores (``T'(j) = T(j)`` for ``j < d``), and one flat pass costs a
+third of a pass over column-shifted 2-D slices.  The Smith-Waterman
+zero floor likewise runs against an all-zero array of the row's shape,
+because NumPy's int32 ``maximum`` has a SIMD loop for two arrays but
+not for an array and a scalar (4 µs against 16 µs on a 20K-column row,
+same host).
 
 The row body lives in exactly one place, :func:`row_step`, which runs
 over arrays of shape ``(..., n+1)``: the same code advances one pair
@@ -71,18 +104,41 @@ from repro.align.scoring import ScoringScheme
 _SCAN_MIN_WIDTH = 2048
 #: Most doubling steps any row takes instead of the serial scan.
 _SCAN_MAX_STEPS = 10
+#: Fewest cells (``X.size``) a row or lane block needs for the block scan.
+_BLOCK_MIN_CELLS = 12288
+#: Doubling steps per round of the block scan (blocks of ``2**s`` columns).
+_BLOCK_STEPS = 2
+
+
+def _doubling(a, b, steps):
+    """Run ``steps`` doubling steps (``d = 1, 2, 4, ...``) from ``a``,
+    ping-ponging with ``b``; returns the buffer holding the result.
+
+    Each step is one flat pass over the C-contiguous block; the head copy
+    both keeps ``j < d`` and overwrites what the flat shift leaked there
+    from the previous lane.
+    """
+    fa, fb = a.reshape(-1), b.reshape(-1)
+    d = 1
+    for _ in range(steps):
+        np.maximum(fa[d:], fa[:-d], out=fb[d:])
+        b[..., :d] = a[..., :d]
+        a, b, fa, fb = b, a, fb, fa
+        d *= 2
+    return a
 
 
 def _gap_scan(X, T, E, ext_ramp, gext, bounded):
     """Write the running maximum of ``X + ext_ramp`` along the last axis
     into ``T``; returns ``max(X)`` when it was computed, else ``None``.
 
+    Picks the bounded doubling scan, the block scan or the serial scan
+    of the module docstring from the row's width, cell count and — for
     ``bounded`` rows (local, no seeded boundary, so ``X >= 0``) at least
-    ``_SCAN_MIN_WIDTH`` wide take the doubling scan of the module
-    docstring when their reach needs few enough steps.  The steps
-    ping-pong between ``T`` and ``E`` — free until the caller derives E
-    from ``T`` — starting in whichever buffer makes the last step land
-    in ``T``, so the scan allocates nothing.
+    ``_SCAN_MIN_WIDTH`` wide — its reach.  The wide scans ping-pong
+    between ``T`` and ``E`` — free until the caller derives E from
+    ``T`` — starting in whichever buffer makes the last step land in
+    ``T``, so no scan allocates.
     """
     width = X.shape[-1]
     bound = int(X.max()) if bounded and width >= _SCAN_MIN_WIDTH else None
@@ -91,41 +147,67 @@ def _gap_scan(X, T, E, ext_ramp, gext, bounded):
         if steps <= min(_SCAN_MAX_STEPS, width // _SCAN_MIN_WIDTH + 1):
             a, b = (T, E) if steps % 2 == 0 else (E, T)
             np.add(X, ext_ramp, out=a)
-            d = 1
-            for _ in range(steps):
-                np.maximum(a[..., d:], a[..., :-d], out=b[..., d:])
-                b[..., :d] = a[..., :d]
-                a, b = b, a
-                d *= 2
+            _doubling(a, b, steps)
             return bound
     np.add(X, ext_ramp, out=T)
-    np.maximum.accumulate(T, axis=-1, out=T)
+    if X.size < _BLOCK_MIN_CELLS:
+        np.maximum.accumulate(T, axis=-1, out=T)
+        return bound
+    # 2 * _BLOCK_STEPS steps in all: the result lands back in T.
+    s = _BLOCK_STEPS
+    a = _doubling(T, E, s)
+    ends = a[..., (1 << s) - 1::1 << s]
+    np.maximum.accumulate(ends, axis=-1, out=ends)
+    _doubling(a, E if a is T else T, s)
     return bound
 
 
+def zero_row(shape, local: bool) -> np.ndarray | None:
+    """The ``zero`` operand :func:`row_step` floors a sweep's rows
+    against: a read-only all-zero array of the row's ``shape`` when
+    ``local``, else ``None``.  A sweep allocates it once."""
+    if not local:
+        return None
+    zero = np.zeros(shape, dtype=SCORE_DTYPE)
+    zero.flags.writeable = False
+    return zero
+
+
 def row_step(Hp, Fp, H, E, F, X, T, sub, gext, gfirst, ext_ramp, egap,
-             local, left=None, gopen=None) -> int | None:
+             zero, left=None, gopen=None) -> int | None:
     """Advance one Gotoh row over arrays of shape ``(..., n+1)``.
 
     ``Hp``/``Fp`` are the previous row; in-place callers pass ``H``/``F``
     again (the previous H is read before ``H`` is written).  ``X`` and
     ``T`` are scratch of the row's shape, ``sub`` the ``(..., n)``
     substitution scores, ``ext_ramp`` = ``arange(n+1) * G_ext`` and
-    ``egap`` = ``G_first + ext_ramp[:-1]``.
+    ``egap`` = ``G_first + ext_ramp[:-1]``.  ``T`` and ``E`` must be
+    C-contiguous — a 1-D row, a matrix row, or a leading ``[:k]`` slice
+    of a C-contiguous lane block — because the wide E scans run over
+    their flattened views.
 
-    Column 0 is the sweep's own boundary unless ``left=(x, e, h)`` seeds
-    it (a tile's incoming edge): ``x`` is the H source the in-row scan
-    starts from, ``e`` the incoming horizontal-gap value — it enters the
-    scan as a virtual source ``e + G_open`` (``gopen``) — and ``h`` the H
-    the boundary column exposes.  ``local`` applies the Smith-Waterman
-    zero floor to ``X[..., 1:]`` and pins ``F[..., 0]`` to -inf (column 0
-    is never a vertical-gap source in a local sweep).
+    ``zero`` makes the row local: it is the all-zero, read-only array of
+    ``X``'s shape (see :func:`zero_row`) that the Smith-Waterman floor
+    runs against, and it also pins ``F[..., 0]`` to -inf (column 0 is
+    never a vertical-gap source in a local sweep).  A global row passes
+    ``None``.  Column 0 is the sweep's own boundary unless
+    ``left=(x, e, h)`` seeds it (a tile's incoming edge): ``x`` is the H
+    source the in-row scan starts from, ``e`` the incoming
+    horizontal-gap value — it enters the scan as a virtual source
+    ``e + G_open`` (``gopen``) — and ``h`` the H the boundary column
+    exposes; the zero floor then applies only to ``X[..., 1:]``.
+
+    The E scan is chosen from the row alone (module docstring): a local,
+    unseeded row at least ``_SCAN_MIN_WIDTH`` wide whose reach needs few
+    enough steps takes the bounded doubling scan; any other row or lane
+    block of at least ``_BLOCK_MIN_CELLS`` cells the two-round block
+    scan; the rest the serial ``maximum.accumulate``.
 
     Returns ``max(X)`` when the E scan computed it — a local, unseeded
-    row at least ``_SCAN_MIN_WIDTH`` wide — and ``None`` otherwise.  In
-    such a row it equals ``H.max()`` (every ``E <= max(X) - G_first``),
-    so a caller may use it as the row maximum; over lanes it bounds
-    every lane at once.
+    row at least ``_SCAN_MIN_WIDTH`` wide, whichever scan it took — and
+    ``None`` otherwise.  In such a row it equals ``H.max()`` (every
+    ``E <= max(X) - G_first``), so a caller may use it as the row
+    maximum; over lanes it bounds every lane at once.
     """
     # F (vertical) update — purely element-wise, includes column 0.
     # X/T are free at this point, so the update runs entirely in the
@@ -137,6 +219,12 @@ def row_step(Hp, Fp, H, E, F, X, T, sub, gext, gfirst, ext_ramp, egap,
     Xc = X[..., 1:]
     np.add(Hp[..., :-1], sub, out=Xc)
     np.maximum(Xc, F[..., 1:], out=Xc)
+    local = zero is not None
+    if local:
+        # Floors column 0 too (written next), so the operands stay whole
+        # contiguous rows.
+        np.maximum(X, zero, out=X)
+        F[..., 0] = NEG_INF
     if left is not None:
         # The incoming gap joins the scan as a virtual source at column 0
         # (ext_ramp[0] == 0); H[..., 0] is overwritten below.
@@ -145,9 +233,6 @@ def row_step(Hp, Fp, H, E, F, X, T, sub, gext, gfirst, ext_ramp, egap,
         X[..., 0] = 0
     else:
         X[..., 0] = F[..., 0]
-    if local:
-        F[..., 0] = NEG_INF
-        np.maximum(Xc, 0, out=Xc)
     # E via the running maximum of X + ext_ramp.
     bound = _gap_scan(X, T, E, ext_ramp, gext, local and left is None)
     np.subtract(T[..., :-1], egap, out=E[..., 1:])
@@ -279,6 +364,7 @@ class RowSweeper:
         self._X = np.empty(n + 1, dtype=SCORE_DTYPE)
         self._T = np.empty(n + 1, dtype=SCORE_DTYPE)
         self._egap = SCORE_DTYPE(gfirst) + self._ext_ramp[:-1]
+        self._zero = zero_row(n + 1, self.local)
 
         # Substitution scores as a per-base lookup: row i uses the vector
         # for codes0[i], so each row costs one fancy-index, not a compare.
@@ -295,7 +381,7 @@ class RowSweeper:
         """Process up to ``nrows`` further rows; returns the count processed.
 
         Each row is one :func:`row_step`; see the module docstring for
-        the E scan and when it takes the doubling path.
+        the E scan and which rows take which of its three paths.
         """
         if nrows is None:
             nrows = self.m - self.i
@@ -318,13 +404,13 @@ class RowSweeper:
         ext_ramp = self._ext_ramp
         egap = self._egap
         X, T = self._X, self._T
-        local = self.local
+        zero = self._zero
         stop = self.i + nrows
         while self.i < stop:
             i = self.i + 1
             bound = row_step(H, F, H, E, F, X, T,
                              self._sub_lut[self.codes0[i - 1]],
-                             gext, gfirst, ext_ramp, egap, local)
+                             gext, gfirst, ext_ramp, egap, zero)
             self.i = i
 
             if self.track_best or self.watch_value is not None:

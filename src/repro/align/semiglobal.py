@@ -13,7 +13,7 @@ full-matrix pass with free boundaries and the shared affine traceback.
 The row body is written out here rather than calling
 :func:`repro.align.rowscan.row_step`: the free left column pins
 ``F(i, 0)`` like a local sweep but has no zero floor on the interior, a
-combination ``row_step``'s ``local`` flag does not express and that
+combination ``row_step``'s ``zero`` operand does not express and that
 would need a flag serving only this caller.
 
 Convention: the *empty overlap* — both sequences consumed entirely by

@@ -28,7 +28,7 @@ import numpy as np
 from repro.constants import NEG_INF, SCORE_DTYPE
 from repro.errors import ConfigError
 from repro.align.profile import build_profile
-from repro.align.rowscan import row_step
+from repro.align.rowscan import row_step, zero_row
 from repro.align.scoring import ScoringScheme
 
 
@@ -112,6 +112,7 @@ def tile_sweep(codes0: np.ndarray, codes1: np.ndarray, scheme: ScoringScheme,
     gopen = SCORE_DTYPE(scheme.gap_open)
     ext_ramp = np.arange(w + 1, dtype=SCORE_DTYPE) * gext
     egap = gfirst + ext_ramp[:-1]
+    zero = zero_row(w + 1, local)
     # Uncached: wavefront tiles slice fresh column ranges that would only
     # churn the shared profile LRU.
     sub_lut = build_profile(scheme, codes1)
@@ -135,7 +136,7 @@ def tile_sweep(codes0: np.ndarray, codes1: np.ndarray, scheme: ScoringScheme,
         left = (left_X[i - 1], SCORE_DTYPE(edges.left_E[i - 1]),
                 edges.left_H[i - 1])
         row_step(H, F, H, E, F, X, T, sub_lut[codes0[i - 1]], gext, gfirst,
-                 ext_ramp, egap, local, left=left, gopen=gopen)
+                 ext_ramp, egap, zero, left=left, gopen=gopen)
         right_H[i - 1] = H[w]
         right_E[i - 1] = E[w]
         if track_best:

@@ -15,6 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.align import batched, rowscan
 from repro.align.batched import plan_buckets, sweep_batched, sweep_lanes
 from repro.align.rowscan import RowSweeper
 from repro.align.scoring import PAPER_SCHEME
@@ -207,6 +208,11 @@ class TestPlanBuckets:
 
 
 # -------------------------------------------------- rowscan allocation diet
+# At n=65536 one H row is 256 KiB; 32 KiB is the per-row tripwire.
+N_WIDE = 65536
+TRIPWIRE = 32 * 1024
+
+
 class TestAllocationDiet:
     def test_shared_query_profile(self, rng, scheme):
         """Lanes over the same columns share one cached LUT object —
@@ -222,21 +228,68 @@ class TestAllocationDiet:
         n=65536 one H row is 256 KiB, so any reintroduced per-row
         temporary allocates at least that much per advance.  The dieted
         loop (preallocated scratch, ``out=`` everywhere) stays under a
-        few KiB; 32 KiB is the tripwire."""
-        n = 65536
+        few KiB; 32 KiB is the tripwire.  These local rows take the
+        bounded doubling scan and the zero-row floor."""
+        sweep = self._wide_sweep(rng, local=True)
+        assert not sweep._zero.flags.writeable
+        self._assert_advance_allocates_nothing(sweep)
+
+    def test_global_advance_allocates_no_row_temporaries(self, rng):
+        """The same guard on global rows, which take the block scan."""
+        sweep = self._wide_sweep(rng, local=False)
+        assert sweep.n + 1 >= rowscan._BLOCK_MIN_CELLS
+        self._assert_advance_allocates_nothing(sweep)
+
+    @staticmethod
+    def _wide_sweep(rng, local):
         codes0 = random_dna(32, rng, "A").codes
-        codes1 = random_dna(n, rng, "B").codes
-        sweep = RowSweeper(codes0, codes1, PAPER_SCHEME,
-                           local=True, track_best=True)
+        codes1 = random_dna(N_WIDE, rng, "B").codes
+        return RowSweeper(codes0, codes1, PAPER_SCHEME,
+                          local=local, track_best=local)
+
+    @staticmethod
+    def _assert_advance_allocates_nothing(sweep):
         sweep.advance(4)                      # warm the lazy paths
         tracemalloc.start()
         base = tracemalloc.get_traced_memory()[0]
         sweep.advance(8)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        assert peak - base < 32 * 1024, (
+        assert peak - base < TRIPWIRE, (
             f"RowSweeper._advance allocated {peak - base} bytes for 8 rows "
-            f"at n={n}; a per-row temporary would cost >= {4 * (n + 1)}")
+            f"at n={sweep.n}; a per-row temporary would cost >= "
+            f"{4 * (sweep.n + 1)}")
+
+    def test_lane_rows_allocate_no_temporaries(self, rng, monkeypatch):
+        """Each fused row of a global K-lane block (the block scan, run
+        over the flattened lanes) allocates nothing; the batch's packed
+        state is set up once, outside the rows."""
+        n = N_WIDE
+        codes1 = random_dna(n, rng, "B").codes
+        lanes = [RowSweeper(random_dna(m, rng, "A").codes, codes1,
+                            PAPER_SCHEME) for m in (12, 12, 9, 7)]
+        assert n + 1 >= rowscan._BLOCK_MIN_CELLS
+        real_step = batched.row_step
+        growth = []
+
+        def traced_step(*args, **kwargs):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            bound = real_step(*args, **kwargs)
+            growth.append(tracemalloc.get_traced_memory()[1] - base)
+            return bound
+
+        monkeypatch.setattr(batched, "row_step", traced_step)
+        sweep_lanes(lanes, 2)                 # warm the lazy paths
+        tracemalloc.start()
+        try:
+            sweep_lanes(lanes)
+        finally:
+            tracemalloc.stop()
+        assert len(growth) == 2 + 10
+        assert max(growth[2:]) < TRIPWIRE, (
+            f"a lane row step allocated {max(growth[2:])} bytes at "
+            f"K={len(lanes)}, n={n}")
 
 
 # ------------------------------------------------------- service batching
