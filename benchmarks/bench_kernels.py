@@ -16,6 +16,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.constants import TYPE_MATCH
 from repro.align.full_matrix import global_align, local_align
 from repro.align.myers_miller import MMConfig, find_midpoint
 from repro.align.rowscan import RowSweeper
@@ -73,7 +74,8 @@ def test_kernel_full_matrix(benchmark):
 
 
 def test_kernel_mm_split(benchmark):
-    goal = global_align(S0.codes, S1.codes, PAPER_SCHEME)[1]
+    [(_, goal)] = global_align([(S0.codes, S1.codes, TYPE_MATCH, TYPE_MATCH)],
+                               PAPER_SCHEME)
 
     def run():
         return find_midpoint(S0.codes, S1.codes, PAPER_SCHEME, goal=goal,

@@ -206,13 +206,16 @@ class Alignment:
 
     @staticmethod
     def concat_all(parts: list["Alignment"]) -> "Alignment":
-        """Concatenate a partition chain in order."""
+        """Concatenate a partition chain in order (one copy of the ops);
+        each part must start where the previous one ends."""
         if not parts:
             raise AlignmentError("cannot concatenate an empty partition list")
-        out = parts[0]
-        for part in parts[1:]:
-            out = out.concat(part)
-        return out
+        for a, b in zip(parts, parts[1:]):
+            if a.end != b.start:
+                raise AlignmentError(
+                    f"cannot concatenate: {a.end} != {b.start}")
+        return Alignment(parts[0].i0, parts[0].j0,
+                         np.concatenate([part.ops for part in parts]))
 
     def transposed(self) -> "Alignment":
         """Swap the roles of S0 and S1 (gap types 1 <-> 2).

@@ -330,8 +330,9 @@ def _mm_align(codes0, codes1, scheme, start_gap, end_gap, goal, config,
     if m * n <= config.base_max_cells or m < 2 or n < 2:
         stats.base_cases += 1
         stats.base_cells += m * n
-        return full_matrix.global_align(codes0, codes1, scheme,
-                                        start_gap=start_gap, end_gap=end_gap)
+        [solved] = full_matrix.global_align(
+            [(codes0, codes1, start_gap, end_gap)], scheme)
+        return solved
 
     if config.balanced and n > m:
         # Halve the largest dimension (Figure 10): transpose, solve, map back.

@@ -70,8 +70,10 @@ The row body lives in exactly one place, :func:`row_step`, which runs
 over arrays of shape ``(..., n+1)``: the same code advances one pair
 (:class:`RowSweeper`), a ``(K, n+1)`` block of lanes
 (:func:`repro.align.batched.sweep_lanes`), an edge-seeded tile
-(:func:`repro.align.tiled.tile_sweep`) and a materialized matrix row
-(:func:`repro.align.full_matrix.dp_matrices`).
+(:func:`repro.align.tiled.tile_sweep`), a row of a block of
+materialized lane matrices (:func:`repro.align.full_matrix.global_align`
+and its K = 1 calls) and a semi-global matrix row with a free left edge
+(:mod:`repro.align.semiglobal`).
 
 Every sweep the pipeline performs maps onto this kernel:
 

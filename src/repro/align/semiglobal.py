@@ -10,11 +10,11 @@ zero-resets — e.g. placing a contig against a chromosome.
 
 Built on the same vectorized machinery as everything else: a
 full-matrix pass with free boundaries and the shared affine traceback.
-The row body is written out here rather than calling
-:func:`repro.align.rowscan.row_step`: the free left column pins
-``F(i, 0)`` like a local sweep but has no zero floor on the interior, a
-combination ``row_step``'s ``zero`` operand does not express and that
-would need a flag serving only this caller.
+Each row is :func:`repro.align.rowscan.row_step` as a global row whose
+column 0 is seeded like a tile's incoming edge, ``left=(0, -inf, 0)``:
+the free left column starts the in-row scan at 0 and exposes H = 0, with
+no zero floor on the interior.  One write then pins ``F(i, 0)`` to -inf,
+as a local sweep does (column 0 is never a vertical-gap source here).
 
 Convention: the *empty overlap* — both sequences consumed entirely by
 free leading/trailing gaps — is a valid semi-global alignment of score 0,
@@ -31,9 +31,9 @@ import numpy as np
 from repro.constants import NEG_INF, SCORE_DTYPE, TYPE_MATCH
 from repro.errors import AlignmentError
 from repro.align.alignment import Alignment
-from repro.align.full_matrix import _sub_matrix
-from repro.align.profile import build_profile
+from repro.align.full_matrix import _sub_scores
 from repro.align.reference import DPMatrices, _traceback
+from repro.align.rowscan import row_step
 from repro.align.scoring import ScoringScheme
 from repro.sequences.sequence import Sequence
 
@@ -54,13 +54,16 @@ class SemiGlobalResult:
         return self.alignment.end
 
 
-def _semiglobal_matrices(codes0: np.ndarray, codes1: np.ndarray,
-                         scheme: ScoringScheme) -> DPMatrices:
-    """Full H/E/F with free start boundaries (H = 0 on row 0 / column 0)."""
-    m, n = codes0.size, codes1.size
+def _semiglobal_matrices(sub: np.ndarray, scheme: ScoringScheme) -> DPMatrices:
+    """Full H/E/F with free start boundaries (H = 0 on row 0 / column 0)
+    from the ``(m, n)`` substitution scores."""
+    m, n = sub.shape
     gext = SCORE_DTYPE(scheme.gap_ext)
     gfirst = SCORE_DTYPE(scheme.gap_first)
     ext_ramp = np.arange(n + 1, dtype=SCORE_DTYPE) * gext
+    egap = gfirst + ext_ramp[:-1]
+    left = (0, NEG_INF, 0)
+    gopen = SCORE_DTYPE(scheme.gap_open)
     H = np.empty((m + 1, n + 1), dtype=SCORE_DTYPE)
     E = np.empty((m + 1, n + 1), dtype=SCORE_DTYPE)
     F = np.empty((m + 1, n + 1), dtype=SCORE_DTYPE)
@@ -68,24 +71,12 @@ def _semiglobal_matrices(codes0: np.ndarray, codes1: np.ndarray,
     E[0] = NEG_INF
     F[0] = NEG_INF
 
-    sub_lut = build_profile(scheme, codes1)
-
     X = np.empty(n + 1, dtype=SCORE_DTYPE)
     T = np.empty(n + 1, dtype=SCORE_DTYPE)
     for i in range(1, m + 1):
-        sub = sub_lut[codes0[i - 1]]
-        np.maximum(F[i - 1] - gext, H[i - 1] - gfirst, out=F[i])
-        np.add(H[i - 1, :-1], sub, out=X[1:])
-        np.maximum(X[1:], F[i, 1:], out=X[1:])
-        X[0] = 0          # free start on the left column
+        row_step(H[i - 1], F[i - 1], H[i], E[i], F[i], X, T, sub[i - 1],
+                 gext, gfirst, ext_ramp, egap, None, left=left, gopen=gopen)
         F[i, 0] = NEG_INF
-        np.add(X, ext_ramp, out=T)
-        np.maximum.accumulate(T, out=T)
-        E[i, 1:] = T[:-1]
-        E[i, 1:] -= gfirst + ext_ramp[:-1]
-        E[i, 0] = NEG_INF
-        np.maximum(X, E[i], out=H[i])
-        H[i, 0] = 0
     return DPMatrices(H, E, F)
 
 
@@ -97,7 +88,8 @@ def semiglobal_align(s0: Sequence | np.ndarray, s1: Sequence | np.ndarray,
     m, n = codes0.size, codes1.size
     if m == 0 or n == 0:
         raise AlignmentError("cannot align empty sequences")
-    mats = _semiglobal_matrices(codes0, codes1, scheme)
+    sub = _sub_scores(codes0[:, None], codes1[None, :], scheme)
+    mats = _semiglobal_matrices(sub, scheme)
     # Free end: best cell on the bottom row or right column.
     bottom_j = int(np.argmax(mats.H[m]))
     right_i = int(np.argmax(mats.H[:, n]))
@@ -106,7 +98,6 @@ def semiglobal_align(s0: Sequence | np.ndarray, s1: Sequence | np.ndarray,
     else:
         i, j = right_i, n
     score = int(mats.H[i, j])
-    sub = _sub_matrix(codes0, codes1, scheme)
     path = _traceback(mats, sub, scheme, i, j, TYPE_MATCH, local=False,
                       free_start=True)
     return SemiGlobalResult(alignment=path, score=score)

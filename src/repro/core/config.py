@@ -44,9 +44,9 @@ class PipelineConfig:
             interior taps) run on the serial kernel and tick
             ``kernel.fallback.<reason>``.
         workers: CPU parallelism — sweep processes under the
-            ``"wavefront"`` executor, threads for Stages 3 and 5 under
-            ``"serial"`` (serial Stage 4 fuses each round's splits into
-            lane batches instead).
+            ``"wavefront"`` executor, threads for Stage 3 under
+            ``"serial"`` (serial Stage 4 fuses each round's splits, and
+            Stage 5 every partition, into lane batches instead).
         checkpoint_every_rows: Stage-1 checkpoint interval in matrix rows
             (requires a workdir); None disables checkpointing.
     """

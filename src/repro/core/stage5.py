@@ -2,8 +2,10 @@
 
 Every partition is now at most ``max_partition_size`` in each dimension,
 so each is aligned exactly with the full-matrix aligner in O(1) memory
-(degenerate partitions are emitted directly as gap runs).  The
-sub-alignments are concatenated into the complete optimal alignment, and
+(degenerate partitions are emitted directly as gap runs).  All of a
+run's base cases go through one :func:`global_align` call, which sweeps
+them as fused lanes in byte-capped blocks.  The sub-alignments are
+concatenated in chain order into the complete optimal alignment, and
 the compact binary representation (start/end, score, GAP_1/GAP_2 lists)
 is produced for Stage 6.
 
@@ -15,7 +17,6 @@ the pipeline's end-to-end invariant.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -44,25 +45,39 @@ class Stage5Result(StageResult):
     modeled_seconds: float
 
 
+def align_partitions(s0: Sequence, s1: Sequence, partitions: list[Partition],
+                     config: PipelineConfig) -> tuple[list[Alignment], int]:
+    """Exact alignment of every partition; returns (global paths in chain
+    order, cells).
+
+    Partitions here are at most ``max_partition_size`` per side, so one
+    :func:`global_align` call aligns every non-degenerate one; each
+    score must equal the partition's crosspoint bracket.
+    """
+    aligned = [p for p in partitions if not p.degenerate]
+    solved = iter(global_align(
+        [(s0.codes[p.start.i:p.end.i], s1.codes[p.start.j:p.end.j],
+          p.start.type, p.end.type) for p in aligned], config.scheme))
+    paths = []
+    for p in partitions:
+        start = p.start
+        if p.degenerate:
+            path = degenerate_alignment(p.height, p.width)
+        else:
+            path, score = next(solved)
+            if score != p.score:
+                raise PartitionError(
+                    f"partition {start} -> {p.end} aligned to {score}, "
+                    f"expected {p.score}")
+        paths.append(path.offset(start.i, start.j))
+    return paths, sum(p.area for p in aligned)
+
+
 def align_partition(s0: Sequence, s1: Sequence, partition: Partition,
                     config: PipelineConfig) -> tuple[Alignment, int]:
-    """Exact alignment of one partition; returns (global path, cells).
-
-    Partitions here are at most ``max_partition_size`` per side, so the
-    O(1)-memory full-matrix aligner handles them directly.
-    """
-    start, end = partition.start, partition.end
-    if partition.degenerate:
-        path = degenerate_alignment(partition.height, partition.width)
-        return path.offset(start.i, start.j), 0
-    path, score = global_align(
-        s0.codes[start.i:end.i], s1.codes[start.j:end.j], config.scheme,
-        start_gap=start.type, end_gap=end.type)
-    if score != partition.score:
-        raise PartitionError(
-            f"partition {start} -> {end} aligned to {score}, "
-            f"expected {partition.score}")
-    return path.offset(start.i, start.j), partition.area
+    """Exact alignment of one partition; returns (global path, cells)."""
+    [path], cells = align_partitions(s0, s1, [partition], config)
+    return path, cells
 
 
 def run_stage5(s0: Sequence, s1: Sequence, config: PipelineConfig,
@@ -70,7 +85,9 @@ def run_stage5(s0: Sequence, s1: Sequence, config: PipelineConfig,
                executor=None) -> Stage5Result:
     """Align all partitions, concatenate, emit the binary representation.
 
-    With a wavefront executor the base cases fan across its process pool,
+    Serially, :func:`align_partitions` aligns every partition through
+    one :func:`global_align` call.  With a wavefront executor the base
+    cases fan across its process pool,
     largest area first; degenerate partitions go through the same path
     (the worker emits their gap run inline at O(length) cost).
     """
@@ -84,10 +101,6 @@ def run_stage5(s0: Sequence, s1: Sequence, config: PipelineConfig,
                 f"{config.max_partition_size}); stage 4 must run first")
 
     with tel.span("stage5", partitions=len(partitions)) as stage_span:
-
-        def work(p: Partition):
-            return align_partition(s0, s1, p, config)
-
         if executor is not None:
             shared = [executor.share(s0.codes), executor.share(s1.codes)]
             refs = {"codes0": shared[0].ref, "codes1": shared[1].ref}
@@ -97,14 +110,11 @@ def run_stage5(s0: Sequence, s1: Sequence, config: PipelineConfig,
                                          sizes=[p.area for p in partitions])
             # On the exception path executor.close() unlinks these.
             executor.release(shared)
-        elif config.workers > 1:
-            with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                results = list(pool.map(work, partitions))
+            pieces = [path for path, _ in results]
+            cells = sum(c for _, c in results)
         else:
-            results = [work(p) for p in partitions]
+            pieces, cells = align_partitions(s0, s1, partitions, config)
 
-        pieces = [path for path, _ in results]
-        cells = sum(c for _, c in results)
         alignment = Alignment.concat_all(pieces)
         best = chain.best_score
         rescored = alignment.score(s0, s1, config.scheme)

@@ -148,6 +148,14 @@ class TestConcat:
         with pytest.raises(AlignmentError):
             Alignment.concat_all([])
 
+    def test_concat_all_rejects_a_break_mid_chain(self):
+        parts = [aln(0, 0, [0, 1]), aln(1, 2, [2, 0]), aln(4, 3, [0])]
+        with pytest.raises(AlignmentError, match=r"\(3, 3\) != \(4, 3\)"):
+            Alignment.concat_all(parts)
+        whole = Alignment.concat_all(parts[:2] + [aln(3, 3, [0])])
+        assert whole.start == (0, 0) and whole.end == (4, 4)
+        np.testing.assert_array_equal(whole.ops, [0, 1, 2, 0, 0])
+
 
 class TestTransforms:
     def test_transposed_swaps_gap_kinds(self):

@@ -5,7 +5,8 @@ The conformance suite (tests/test_kernel_backends.py) already holds a
 K=1 lane to the bit-identity contract; this module covers what only
 multi-lane execution can — ragged buckets, frozen all-padding tails,
 mixed global boundary regimes in one batch, bucket planning — plus the
-rowscan allocation diet and the service-level coalescing semantics.
+rowscan allocation diet, the peak memory of the full-matrix lane blocks
+and the service-level coalescing semantics.
 """
 
 from __future__ import annotations
@@ -15,11 +16,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.align import batched, rowscan
+from repro.align import batched, full_matrix, rowscan
 from repro.align.batched import plan_buckets, sweep_batched, sweep_lanes
 from repro.align.rowscan import RowSweeper
 from repro.align.scoring import PAPER_SCHEME
-from repro.constants import TYPE_GAP_S0, TYPE_GAP_S1
+from repro.constants import TYPE_GAP_S0, TYPE_GAP_S1, TYPE_MATCH
 from repro.errors import ConfigError
 from repro.sequences.synth import random_dna
 from repro.service import AlignmentService, BatchConfig, JobSpec, JobState
@@ -290,6 +291,32 @@ class TestAllocationDiet:
         assert max(growth[2:]) < TRIPWIRE, (
             f"a lane row step allocated {max(growth[2:])} bytes at "
             f"K={len(lanes)}, n={n}")
+
+    def test_full_matrix_lanes_hold_one_block(self, rng):
+        """``global_align`` traces every block back before it allocates
+        the next, so 1,000 Stage-5-sized lanes peak near one block
+        budget, not at the sum of every block (about 9 MiB here)."""
+        shapes = rng.integers(16, 32, size=(1000, 2))
+        problems = [(random_dna(m, rng, "A").codes,
+                     random_dna(n, rng, "B").codes,
+                     TYPE_MATCH if k % 3 == 0 else TYPE_GAP_S0,
+                     TYPE_GAP_S1 if k % 5 == 0 else TYPE_MATCH)
+                    for k, (m, n) in enumerate(shapes)]
+        budget = full_matrix._LANE_BLOCK_BYTES
+        assert sum(full_matrix._block_bytes(m, 1, n)
+                   for m, n in shapes) > 8 * budget
+        full_matrix.global_align(problems[:8], PAPER_SCHEME)  # warm up
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            results = full_matrix.global_align(problems, PAPER_SCHEME)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(results) == len(problems)
+        assert peak < 2 * budget, (
+            f"global_align peaked at {peak} bytes over {len(problems)} "
+            f"lanes; the block budget is {budget}")
 
 
 # ------------------------------------------------------- service batching

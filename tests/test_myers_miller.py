@@ -70,7 +70,8 @@ class TestMMAlign:
     def test_property_matches_full_matrix(self, t0, t1):
         from repro.sequences.sequence import Sequence
         s0, s1 = Sequence.from_text(t0), Sequence.from_text(t1)
-        _, want = full_matrix.global_align(s0, s1, PAPER_SCHEME)
+        [(_, want)] = full_matrix.global_align(
+            [(s0.codes, s1.codes, TYPE_MATCH, TYPE_MATCH)], PAPER_SCHEME)
         path, got = mm_align(s0.codes, s1.codes, PAPER_SCHEME,
                              config=SMALL_BASE)
         assert got == want
@@ -81,8 +82,8 @@ class TestMMAlign:
     def test_property_boundary_states(self, t0, t1, start, end):
         from repro.sequences.sequence import Sequence
         s0, s1 = Sequence.from_text(t0), Sequence.from_text(t1)
-        _, want = full_matrix.global_align(s0, s1, PAPER_SCHEME,
-                                           start_gap=start, end_gap=end)
+        [(_, want)] = full_matrix.global_align(
+            [(s0.codes, s1.codes, start, end)], PAPER_SCHEME)
         path, got = mm_align(s0.codes, s1.codes, PAPER_SCHEME,
                              start_gap=start, end_gap=end, config=SMALL_BASE)
         assert got == want

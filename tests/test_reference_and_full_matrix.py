@@ -9,14 +9,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.constants import TYPE_GAP_S0, TYPE_GAP_S1, TYPE_MATCH
+from repro.errors import AlignmentError
 from repro.align import full_matrix, reference
 from repro.align.scoring import PAPER_SCHEME
-from repro.sequences.sequence import Sequence
+from repro.sequences.sequence import N_CODE, Sequence
 
 from tests.conftest import SCHEMES, make_pair
 
 dna = st.text(alphabet="ACGT", min_size=1, max_size=40)
 gap_states = st.sampled_from([TYPE_MATCH, TYPE_GAP_S0, TYPE_GAP_S1])
+#: One side of a lane: 1-40 bases, a third of them N.
+side = st.lists(st.sampled_from((0, 1, 2, 3, N_CODE, N_CODE)), min_size=1,
+                max_size=40).map(lambda c: np.array(c, dtype=np.uint8))
+lane_lists = st.lists(st.tuples(side, side, gap_states, gap_states),
+                      min_size=1, max_size=8)
 
 
 class TestReferenceLocal:
@@ -112,12 +118,75 @@ class TestFullMatrixAgainstReference:
         s1 = Sequence.from_text(t1)
         want = reference.global_score(s0, s1, PAPER_SCHEME,
                                       start_gap=start, end_gap=end)
-        path, got = full_matrix.global_align(s0, s1, PAPER_SCHEME,
-                                             start_gap=start, end_gap=end)
+        [(path, got)] = full_matrix.global_align(
+            [(s0.codes, s1.codes, start, end)], PAPER_SCHEME)
         assert got == want
         # The path must span the whole rectangle.
         assert path.start == (0, 0)
         assert path.end == (len(s0), len(s1))
+
+
+class TestLaneBlocks:
+    """``global_align`` over a ragged list of lanes: every lane must get
+    the reference score and the same path it gets alone, however the
+    lanes are split into blocks."""
+
+    @staticmethod
+    def check_lanes(problems, scheme):
+        results = full_matrix.global_align(problems, scheme)
+        assert len(results) == len(problems)
+        for (c0, c1, start, end), (path, score) in zip(problems, results):
+            s0, s1 = Sequence(c0), Sequence(c1)
+            assert score == reference.global_score(s0, s1, scheme,
+                                                   start_gap=start,
+                                                   end_gap=end)
+            assert path.start == (0, 0) and path.end == (len(s0), len(s1))
+            # The rescorer charges an opening the waived start gap skips.
+            waived = start != TYPE_MATCH and path.ops[0] == start
+            assert path.score(s0, s1, scheme) + waived * scheme.gap_open \
+                == score
+            [(alone, alone_score)] = full_matrix.global_align(
+                [(c0, c1, start, end)], scheme)
+            assert alone_score == score
+            np.testing.assert_array_equal(alone.ops, path.ops)
+
+    @settings(max_examples=15, deadline=None)
+    @given(problems=lane_lists)
+    def test_property_lanes_match_reference(self, problems):
+        for scheme in SCHEMES:
+            self.check_lanes(problems, scheme)
+
+    @settings(max_examples=15, deadline=None)
+    @given(problems=lane_lists, big=st.tuples(gap_states, gap_states))
+    def test_property_lanes_across_small_blocks(self, problems, big):
+        """A budget of a few small lanes splits the list over several
+        blocks; the 40 x 40 lane alone exceeds it."""
+        rng = np.random.default_rng(len(problems))
+        problems = problems + [(rng.integers(0, 5, 40, dtype=np.uint8),
+                                rng.integers(0, 5, 40, dtype=np.uint8), *big)]
+        budget = 4096
+        assert full_matrix._block_bytes(40, 1, 40) > budget
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(full_matrix, "_LANE_BLOCK_BYTES", budget)
+            shapes = [(c0.size, c1.size) for c0, c1, _, _ in problems]
+            blocks = full_matrix._plan_blocks(shapes)
+            assert sorted(sum(blocks, [])) == list(range(len(problems)))
+            for block in blocks:
+                assert len(block) == 1 or full_matrix._block_bytes(
+                    max(shapes[k][0] for k in block), len(block),
+                    max(shapes[k][1] for k in block)) <= budget
+            for scheme in SCHEMES:
+                self.check_lanes(problems, scheme)
+
+    @pytest.mark.parametrize("empty", [0, 1])
+    def test_empty_side_in_any_lane_rejected(self, rng, empty):
+        lanes = [[rng.integers(0, 4, 5, dtype=np.uint8) for _ in range(2)]
+                 for _ in range(3)]
+        lanes[1][empty] = np.empty(0, np.uint8)
+        with pytest.raises(AlignmentError, match="empty"):
+            full_matrix.global_align(
+                [(c0, c1, TYPE_MATCH, TYPE_MATCH) for c0, c1 in lanes],
+                PAPER_SCHEME)
 
 
 class TestBoundaryGapScoreIdentity:

@@ -7,15 +7,63 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.constants import NEG_INF, SCORE_DTYPE
 from repro.errors import AlignmentError
-from repro.align import reference
+from repro.align import reference, rowscan
+from repro.align.full_matrix import _sub_scores
+from repro.align.profile import build_profile
 from repro.align.scoring import PAPER_SCHEME
-from repro.align.semiglobal import semiglobal_align, semiglobal_score
+from repro.align.semiglobal import (_semiglobal_matrices, semiglobal_align,
+                                    semiglobal_score)
 from repro.sequences.sequence import Sequence
+from repro.sequences.synth import random_dna
 
 from tests.conftest import SCHEMES, make_pair
 
 dna = st.text(alphabet="ACGT", min_size=1, max_size=32)
+
+
+def frozen_semiglobal_matrices(codes0, codes1, scheme):
+    """The private row body semiglobal kept before it called ``row_step``:
+    free left column (X(i, 0) = 0, H(i, 0) = 0, F(i, 0) = -inf), no zero
+    floor, serial E scan.  Kept as the reference the shared body must
+    reproduce exactly."""
+    m, n = codes0.size, codes1.size
+    gext = SCORE_DTYPE(scheme.gap_ext)
+    gfirst = SCORE_DTYPE(scheme.gap_first)
+    ext_ramp = np.arange(n + 1, dtype=SCORE_DTYPE) * gext
+    H = np.empty((m + 1, n + 1), dtype=SCORE_DTYPE)
+    E = np.empty((m + 1, n + 1), dtype=SCORE_DTYPE)
+    F = np.empty((m + 1, n + 1), dtype=SCORE_DTYPE)
+    H[0] = 0
+    E[0] = NEG_INF
+    F[0] = NEG_INF
+    sub_lut = build_profile(scheme, codes1)
+    X = np.empty(n + 1, dtype=SCORE_DTYPE)
+    T = np.empty(n + 1, dtype=SCORE_DTYPE)
+    for i in range(1, m + 1):
+        sub = sub_lut[codes0[i - 1]]
+        np.maximum(F[i - 1] - gext, H[i - 1] - gfirst, out=F[i])
+        np.add(H[i - 1, :-1], sub, out=X[1:])
+        np.maximum(X[1:], F[i, 1:], out=X[1:])
+        X[0] = 0
+        F[i, 0] = NEG_INF
+        np.add(X, ext_ramp, out=T)
+        np.maximum.accumulate(T, out=T)
+        E[i, 1:] = T[:-1]
+        E[i, 1:] -= gfirst + ext_ramp[:-1]
+        E[i, 0] = NEG_INF
+        np.maximum(X, E[i], out=H[i])
+        H[i, 0] = 0
+    return H, E, F
+
+
+def assert_matches_frozen_body(codes0, codes1, scheme):
+    want = frozen_semiglobal_matrices(codes0, codes1, scheme)
+    got = _semiglobal_matrices(
+        _sub_scores(codes0[:, None], codes1[None, :], scheme), scheme)
+    for a, b in zip(want, (got.H, got.E, got.F)):
+        np.testing.assert_array_equal(b, a)
 
 
 def brute_force_semiglobal(s0, s1, scheme) -> int:
@@ -89,6 +137,22 @@ class TestSemiGlobal:
         global_ = reference.global_score(s0, s1, PAPER_SCHEME)
         semi = semiglobal_score(s0, s1, PAPER_SCHEME)
         assert global_ <= semi <= local
+
+    @settings(max_examples=30, deadline=None)
+    @given(t0=st.text(alphabet="ACGTN", min_size=1, max_size=40),
+           t1=st.text(alphabet="ACGTN", min_size=1, max_size=40),
+           scheme=st.sampled_from(SCHEMES))
+    def test_property_row_step_equals_frozen_body(self, t0, t1, scheme):
+        """``row_step`` with a free left edge plus the F(i, 0) pin is the
+        old private row body, cell for cell."""
+        assert_matches_frozen_body(Sequence.from_text(t0).codes,
+                                   Sequence.from_text(t1).codes, scheme)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_wide_rows_take_the_block_scan(self, rng, scheme):
+        n = rowscan._BLOCK_MIN_CELLS + 37
+        assert_matches_frozen_body(random_dna(3, rng, "A").codes,
+                                   random_dna(n, rng, "B").codes, scheme)
 
     def test_empty_rejected(self, scheme):
         with pytest.raises(AlignmentError):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -20,9 +22,11 @@ from repro.core import (
     small_config,
     sra_bytes_for_rows,
 )
-from repro.align.myers_miller import MMConfig, MMStats
+from repro.align.myers_miller import MMConfig, MMStats, degenerate_alignment
 from repro.core.stage1 import ROWS_NS
 from repro.core.stage4 import split_partition
+from repro.sequences.sequence import Sequence
+from repro.sequences.synth import random_dna
 from repro.storage.sra import SpecialLineStore
 
 from tests.conftest import make_pair
@@ -347,6 +351,75 @@ class TestStage5And6:
             Crosspoint(0, 0, 0), Crosspoint(100, 100, 50)])
         with pytest.raises(PartitionError, match="oversized"):
             run_stage5(s0, s1, config, chain)
+
+    @staticmethod
+    def hand_chain(rng):
+        """A chain cut from an optimal global path with one horizontal and
+        one vertical 6-gap run, so that it interleaves ordinary
+        partitions, 1-row and 1-column partitions (one diagonal plus 3
+        gap columns) and degenerate gap runs (3 gap columns each)."""
+        core = random_dna(60, rng, "core").codes
+        extra = random_dna(12, rng, "extra").codes
+        s0 = Sequence(np.concatenate([core[:40], extra[:6], core[40:]]))
+        s1 = Sequence(np.concatenate([core[:20], extra[6:], core[20:]]))
+        scheme = small_config().scheme
+        mats = reference.global_matrices(s0, s1, scheme)
+        path = reference.global_align(s0, s1, scheme)
+        ops = path.ops
+        h = int(np.argmax(ops == TYPE_GAP_S0))
+        v = int(np.argmax(ops == TYPE_GAP_S1))
+        assert (ops[h:h + 6] == TYPE_GAP_S0).all() and ops[h + 6] == TYPE_MATCH
+        assert (ops[v:v + 6] == TYPE_GAP_S1).all() and ops[v + 6] == TYPE_MATCH
+        ii, jj = path._column_indices()
+        points = [Crosspoint(0, 0, 0)]
+        for c in (10, h - 1, h + 3, h + 6, v - 1, v + 3, v + 6):
+            i, j = int(ii[c - 1]), int(jj[c - 1])
+            # Inside a gap run the crosspoint is typed by the run and
+            # scored from its gap matrix; elsewhere it is an H cell.
+            kind = int(ops[c - 1]) if ops[c] == ops[c - 1] else TYPE_MATCH
+            score = int((mats.H, mats.E, mats.F)[kind][i, j])
+            points.append(Crosspoint(i, j, score, kind))
+        m, n = len(s0), len(s1)
+        points.append(Crosspoint(m, n, int(mats.H[m, n])))
+        chain = CrosspointChain(points)
+        parts = chain.partitions()
+        assert [p.degenerate for p in parts] == [False, False, False, True,
+                                                 False, False, True, False]
+        assert (parts[2].height, parts[2].width) == (1, 4)
+        assert (parts[5].height, parts[5].width) == (4, 1)
+        return s0, s1, chain
+
+    def test_hand_chain_equals_one_call_per_partition(self, rng):
+        """One batched call over an interleaved chain gives exactly the
+        alignment of one ``global_align`` call per partition, with the
+        degenerate gap runs in chain order."""
+        s0, s1, chain = self.hand_chain(rng)
+        config = small_config(n=len(s1))
+        pieces = []
+        for p in chain.partitions():
+            if p.degenerate:
+                path = degenerate_alignment(p.height, p.width)
+            else:
+                [(path, score)] = full_matrix.global_align(
+                    [(s0.codes[p.start.i:p.end.i], s1.codes[p.start.j:p.end.j],
+                      p.start.type, p.end.type)], config.scheme)
+                assert score == p.score
+            pieces.append(path.offset(p.start.i, p.start.j))
+        want = np.concatenate([piece.ops for piece in pieces])
+        result = run_stage5(s0, s1, config, chain)
+        assert result.alignment.start == (0, 0)
+        np.testing.assert_array_equal(result.alignment.ops, want)
+        assert result.cells == sum(p.area for p in chain.partitions())
+
+    def test_fabricated_score_names_its_partition(self, rng):
+        s0, s1, chain = self.hand_chain(rng)
+        points = list(chain.points)
+        bad = points[3]               # ends the 1-row partition
+        points[3] = Crosspoint(bad.i, bad.j, bad.score + 1, bad.type)
+        with pytest.raises(PartitionError, match=re.escape(
+                f"partition {points[2]} -> {points[3]} aligned to")):
+            run_stage5(s0, s1, small_config(n=len(s1)),
+                       CrosspointChain(points))
 
     def test_stage6_round_trip(self, pair):
         s0, s1 = pair
