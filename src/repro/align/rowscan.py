@@ -354,11 +354,13 @@ class RowSweeper:
             self.tap_H[0] = self.H[self._taps]
             self.tap_E[0] = self.E[self._taps]
 
-        save = (np.unique(np.asarray(save_rows, dtype=np.int64))
-                if save_rows is not None and len(save_rows) else np.empty(0, np.int64))
-        if save.size and (save.min() < 1 or save.max() > self.m):
+        # A set of Python ints, not np.unique: NumPy 2.4's unique imports
+        # numpy.ma, which would land in every forked job child's Stage 1.
+        save = ({int(row) for row in save_rows} if save_rows is not None
+                else set())
+        if save and (min(save) < 1 or max(save) > self.m):
             raise ConfigError("save rows out of range [1, m]")
-        self._save_rows = set(save.tolist())
+        self._save_rows = save
         self.saved: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
         # Per-row scratch buffers, allocated once.  _advance reuses X and

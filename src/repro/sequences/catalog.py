@@ -16,6 +16,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+# Loaded here rather than on the first ``np.random`` access in ``build``:
+# job workers fork from processes that import this module, so a lazy
+# import would cost every job child ~15 ms.
+import numpy.random  # noqa: F401
 
 from repro.errors import SequenceError
 from repro.sequences.sequence import Sequence

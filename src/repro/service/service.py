@@ -92,7 +92,11 @@ class AlignmentService:
         observer: optional :class:`~repro.telemetry.PipelineObserver`
             receiving metric updates.
         sinks: extra telemetry sinks (e.g. a ``JsonLinesSink`` trace).
-        poll_seconds: worker-pool polling cadence.
+        poll_seconds: the longest wait between supervision checks.
+            :meth:`run` blocks on the workers' result pipes and wakes on
+            every heartbeat, report or child death; only a silent
+            attempt (a hang), a retry back-off hold or the disk guard
+            waits the full ``poll_seconds`` to be re-checked.
         cpu_count: host cores the pool may assume (defaults to
             ``os.cpu_count()``).  Each dispatched job gets an even share
             — ``max(1, cpu_count // workers)`` — as its cap on
@@ -179,7 +183,7 @@ class AlignmentService:
                 break
             finished = self.pool.poll()
             if not finished:
-                time.sleep(self.poll_seconds)
+                self.pool.wait(self.poll_seconds)
                 continue
             for outcome in finished:
                 finished_this_run += self._settle(outcome)
@@ -190,16 +194,19 @@ class AlignmentService:
         return summary
 
     def step(self) -> int:
-        """One non-blocking dispatch/poll/settle round.
+        """One non-blocking poll/settle/dispatch round.
 
         The incremental counterpart of :meth:`run` for callers that own
-        the loop — the gateway's dispatcher thread pumps this between
-        submissions.  Returns the number of jobs that reached a terminal
-        state this round.
+        the loop — the gateway's dispatcher thread pumps this whenever a
+        worker pipe or a submission wakes it.  Finished attempts settle
+        first, so a slot they free is refilled in the same round.
+        Returns the number of jobs that reached a terminal state this
+        round.
         """
-        finished = self._dispatch_round()
+        finished = 0
         for outcome in self.pool.poll():
             finished += self._settle(outcome)
+        finished += self._dispatch_round()
         self._gauges()
         return finished
 

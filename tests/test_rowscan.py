@@ -107,11 +107,13 @@ class TestIncrementalFeatures:
     def test_saved_rows_match_reference(self, rng, scheme):
         s0, s1 = make_pair(rng, 33, 29)
         ref = reference.sw_matrices(s0, s1, scheme)
-        sw = run_sweep(s0, s1, scheme, local=True, save_rows=[8, 16, 33])
-        assert set(sw.saved) == {8, 16, 33}
-        for r, (h, f) in sw.saved.items():
-            np.testing.assert_array_equal(h, ref.H[r])
-            np.testing.assert_array_equal(f, ref.F[r])
+        # Lists, tuples and arrays are all accepted; duplicates collapse.
+        for rows in ([8, 16, 33], (33, 8, 16, 8), np.array([16, 33, 8, 33])):
+            sw = run_sweep(s0, s1, scheme, local=True, save_rows=rows)
+            assert set(sw.saved) == {8, 16, 33}
+            for r, (h, f) in sw.saved.items():
+                np.testing.assert_array_equal(h, ref.H[r])
+                np.testing.assert_array_equal(f, ref.F[r])
 
     def test_taps_record_columns(self, rng, scheme):
         s0, s1 = make_pair(rng, 21, 27)
@@ -138,6 +140,8 @@ class TestIncrementalFeatures:
                        start_gap=TYPE_GAP_S0)
         with pytest.raises(ConfigError):
             RowSweeper(s0.codes, s1.codes, scheme, save_rows=[0])
+        with pytest.raises(ConfigError):
+            RowSweeper(s0.codes, s1.codes, scheme, save_rows=np.array([11]))
         with pytest.raises(ConfigError):
             RowSweeper(s0.codes, s1.codes, scheme, tap_columns=[99])
         with pytest.raises(ConfigError):

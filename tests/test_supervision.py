@@ -32,7 +32,7 @@ from repro.service import (
     rss_bytes,
 )
 
-from tests.test_gateway import TINY, Client, wait_terminal
+from tests.test_gateway import TINY, Client, await_terminal, wait_terminal
 
 #: Fast supervision defaults for tests: sub-second stall bound, tiny
 #: backoff so retries don't slow suites down, quarantine on the 2nd crash.
@@ -245,6 +245,31 @@ class TestStallDetection:
                             str(tmp_path / "clean"), attempt=1)
         for key in ("best_score", "alignment_length", "start", "end"):
             assert record.result[key] == clean[key], key
+
+    def test_silent_hang_reaped_by_an_event_driven_pump(self, tmp_path):
+        """The gateway pump wakes on pipe traffic, and a child hung
+        before its first heartbeat sends none: the pump's bounded wait
+        must still time out into supervision, which kills and retries
+        the attempt."""
+        dispatcher = ServiceDispatcher(str(tmp_path / "svc"),
+                                       poll_seconds=0.05,
+                                       supervisor=SupervisorConfig(**FAST))
+        dispatcher.start()
+        try:
+            tick = time.monotonic()
+            dispatcher.submit(tiny_spec("wedge", inject_hang_row=0),
+                              tenant="t")
+            snapshot = await_terminal(dispatcher, "wedge", timeout=60)
+            elapsed = time.monotonic() - tick
+            snapshot_metrics = dispatcher.metrics()
+        finally:
+            dispatcher.close()
+        assert snapshot["state"] == JobState.SUCCEEDED
+        assert snapshot["attempts"] == 2
+        assert snapshot["crashes"] == 1
+        assert snapshot_metrics["supervision.stalls"] == 1
+        assert elapsed < 0.75 + 10.0
+        assert dispatcher.pump_error is None
 
     def test_healthy_jobs_unaffected_by_stall_bound(self, tmp_path):
         service = AlignmentService(tmp_path / "svc", workers=2,
@@ -463,6 +488,26 @@ class TestPumpSelfHealth:
                     break
                 time.sleep(0.05)
             assert snapshot["state"] == JobState.SUCCEEDED
+        finally:
+            dispatcher.close()
+
+    def test_config_error_in_a_round_is_a_crash(self, tmp_path):
+        """A ConfigError out of a pump round is not swallowed: the pump
+        dies loudly, ``pump_error`` names it, and the health check's
+        restart takes over."""
+        dispatcher = ServiceDispatcher(str(tmp_path / "svc"),
+                                       poll_seconds=0.01)
+
+        def bad_round():
+            raise ConfigError("dispatch() with no free worker slot")
+
+        dispatcher.service.step = bad_round
+        try:
+            dispatcher.start()
+            self.wait_pump_dead(dispatcher)
+            assert dispatcher.pump_error == \
+                "ConfigError: dispatch() with no free worker slot"
+            assert dispatcher.health()["status"] == "degraded"
         finally:
             dispatcher.close()
 
