@@ -286,7 +286,7 @@ class TestChaosMatrix:
 
 
 # ---------------------------------------------------------------- gateway
-def _serve_proc(root, port_file, *, resume=False):
+def _serve_proc(root, port_file, *, resume=False, extra=()):
     """Start `repro serve` in its own session; returns the Popen."""
     import subprocess
     import sys
@@ -298,6 +298,7 @@ def _serve_proc(root, port_file, *, resume=False):
             "--port", "0", "--port-file", str(port_file), "--workers", "1"]
     if resume:
         argv.append("--resume")
+    argv.extend(extra)
     return subprocess.Popen(argv, env=env, start_new_session=True,
                             stdout=subprocess.DEVNULL,
                             stderr=subprocess.DEVNULL)
@@ -403,3 +404,48 @@ class TestGatewayKill:
         # The journal records the demotion of the interrupted attempt.
         _, events, _ = replay_journal(root / "journal.jsonl")
         assert any(e["event"] == "recovered" for e in events)
+
+    def test_worker_signals_stay_with_the_worker(self, tmp_path):
+        """`repro serve` forks workers from a process whose event loop
+        owns SIGTERM.  The SIGTERM that cancels a running job, or that
+        the stall detector sends a hung one, must end that worker only:
+        the cancel returns, the stalled job retries, and the gateway
+        keeps serving until its own SIGTERM."""
+        import subprocess
+
+        port_file = tmp_path / "port"
+        proc = _serve_proc(tmp_path / "gw", port_file,
+                           extra=("--stall-seconds", "1"))
+        try:
+            port = _wait_port(port_file, proc)
+            for job_id in ("cancelled", "stalled"):    # one worker: FIFO
+                status, _ = _http(port, "POST", "/v1/jobs",
+                                  {"job_id": job_id, "catalog": "162Kx172K",
+                                   "scale": 8192, "block_rows": 32,
+                                   "inject_hang_row": 0}, tenant="t")
+                assert status == 201
+            deadline = time.monotonic() + 60
+            while (_http(port, "GET", "/v1/jobs/cancelled")[1]["state"]
+                   != "running" and time.monotonic() < deadline):
+                time.sleep(0.02)
+            status, _ = _http(port, "DELETE", "/v1/jobs/cancelled",
+                              tenant="t")
+            assert status == 200
+            deadline = time.monotonic() + 60
+            while time.monotonic() < deadline:
+                _, snapshot = _http(port, "GET", "/v1/jobs/stalled")
+                if snapshot["state"] == "succeeded":
+                    break
+                time.sleep(0.05)
+            assert snapshot["state"] == "succeeded"
+            assert snapshot["crashes"] == 1          # the stall kill
+            assert proc.poll() is None
+        finally:
+            os.killpg(proc.pid, signal.SIGTERM)
+            try:
+                code = proc.wait(timeout=30)
+            except subprocess.TimeoutExpired:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+                raise
+        assert code == 0                             # clean shutdown
