@@ -459,7 +459,8 @@ class RowSweeper:
         Only valid on a freshly-constructed sweeper over the same
         sequences, scheme and options; saved-row snapshots taken before
         the checkpoint are the caller's responsibility (Stage 1 flushes
-        them to the durable SRA as they appear).
+        them to the SRA as they appear and fsyncs them before each
+        checkpoint).
         """
         i = int(state["i"])
         if not 0 <= i <= self.m:

@@ -3,9 +3,11 @@
 At paper scale Stage 1 runs for ~18 hours (97% of the pipeline), so crash
 recovery matters.  A checkpoint is the sweep's O(n) linear-space state
 (current H/E/F rows, best cell, row counter) serialized as an ``.npz``
-inside a checksummed artifact frame and written atomically; special rows
-flushed before the checkpoint already live in the durable SRA, so
-resuming re-processes at most ``checkpoint_every_rows`` rows.
+inside a checksummed artifact frame, written atomically and fsync'd.
+Special rows are not fsync'd when they are flushed to the SRA; the
+``barrier`` Stage 1 passes makes every row flushed so far durable just
+before the checkpoint's own write, so resuming finds them and
+re-processes at most ``checkpoint_every_rows`` rows.
 
 A corrupt or torn checkpoint raises :class:`~repro.errors.IntegrityError`
 (a :class:`~repro.errors.StorageError`), never a raw ``zipfile`` or
@@ -36,20 +38,27 @@ CHECKPOINT_VERSION = 1
 
 
 def save_checkpoint(path: str | os.PathLike, sweeper: RowSweeper,
-                    m: int, n: int, *, tracer=None) -> None:
-    """Atomically persist the sweep state (write + rename)."""
+                    m: int, n: int, *, tracer=None, barrier=None) -> None:
+    """Durably persist the sweep state (write + fsync + rename).
+
+    ``barrier`` (optional, no arguments) runs just before the write,
+    inside the ``checkpoint.save`` span: it makes durable whatever the
+    checkpoint resumes from (Stage 1 passes ``SpecialLineStore.sync``).
+    """
     if tracer is not None:
         with tracer.span("checkpoint.save", row=sweeper.i, m=m, n=n):
-            _save_checkpoint(path, sweeper, m, n)
+            _save_checkpoint(path, sweeper, m, n, barrier)
         return
-    _save_checkpoint(path, sweeper, m, n)
+    _save_checkpoint(path, sweeper, m, n, barrier)
 
 
 def _save_checkpoint(path: str | os.PathLike, sweeper: RowSweeper,
-                     m: int, n: int) -> None:
+                     m: int, n: int, barrier) -> None:
     state = sweeper.state_dict()
     buffer = io.BytesIO()
     np.savez(buffer, version=CHECKPOINT_VERSION, m=m, n=n, **state)
+    if barrier is not None:
+        barrier()
     codec.write_artifact(os.fspath(path), buffer.getvalue(),
                          codec.KIND_CHECKPOINT)
 

@@ -9,8 +9,11 @@ the horizontal bus holds), and the flush interval obeys the
 Special rows are flushed *as the sweep passes them* (the paper's
 behaviour: the horizontal bus drains to disk at the flush interval), which
 together with the optional checkpointing makes the multi-hour stage
-restartable: on resume, rows flushed before the crash are already in the
-durable SRA and at most ``checkpoint_every_rows`` rows are re-processed.
+restartable: on resume, rows flushed before the last checkpoint are
+already in the durable SRA and at most ``checkpoint_every_rows`` rows are
+re-processed.  A row is not fsync'd when it is flushed; each checkpoint
+first fsyncs the rows flushed (or recovered) since the previous one, so
+a run that never checkpoints never fsyncs a row.
 
 Outputs: the best score, its end position, and the saved special rows —
 the list ``L_1 = {*, C_1}`` with the start point still unknown.
@@ -160,7 +163,7 @@ def run_stage1(s0: Sequence, s1: Sequence, config: PipelineConfig,
                 rows_since_checkpoint += done
                 if rows_since_checkpoint >= checkpoint_every_rows and not sweep.done:
                     save_checkpoint(checkpoint_path, sweep, m, n,
-                                    tracer=tel.tracer)
+                                    tracer=tel.tracer, barrier=sra.sync)
                     tel.metrics.counter("checkpoint.writes").add(1)
                     rows_since_checkpoint = 0
             fraction = sweep.i / m

@@ -26,7 +26,11 @@ Three framings, one :class:`~repro.errors.IntegrityError` contract:
 
 File I/O goes through :func:`read_bytes` / :func:`atomic_write_bytes` /
 :func:`append_journal_record`, which are the interposition points of the
-deterministic fault harness (:mod:`repro.integrity.faults`).
+deterministic fault harness (:mod:`repro.integrity.faults`).  A write
+is fsync'd only where a recovery or the user reads it back after a
+power cut: checkpoints, binary alignments and fsck's rewrites on write,
+special lines at their run's next checkpoint (:func:`fsync_files`),
+cache entries never (a torn one fails its checksum and is recomputed).
 """
 
 from __future__ import annotations
@@ -215,8 +219,15 @@ def read_bytes(path: str | os.PathLike) -> bytes:
     return data
 
 
-def atomic_write_bytes(path: str | os.PathLike, blob: bytes) -> None:
+def atomic_write_bytes(path: str | os.PathLike, blob: bytes, *,
+                       fsync: bool = True) -> None:
     """Write + fsync + rename, through the fault interposition.
+
+    ``fsync=False`` skips the fsync: the rename is still atomic, and the
+    bytes survive a killed process but not a power cut.  Data no
+    recovery reads back after a power cut is written that way; data a
+    later durable write depends on is flushed by :func:`fsync_files`
+    just before that write.
 
     An injected torn write persists a prefix of ``blob`` and then raises
     (the simulated crash happens *after* the rename, exactly like a
@@ -230,11 +241,29 @@ def atomic_write_bytes(path: str | os.PathLike, blob: bytes) -> None:
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as handle:
         handle.write(blob)
-        handle.flush()
-        os.fsync(handle.fileno())
+        if fsync:
+            handle.flush()
+            os.fsync(handle.fileno())
     os.replace(tmp, path)
     if crash is not None:
         raise crash
+
+
+def fsync_files(paths) -> None:
+    """Flush files written with ``fsync=False`` to stable storage.
+
+    The barrier in front of a durable write that depends on them.  A
+    file already gone (released, quarantined) has nothing to flush.
+    """
+    for path in paths:
+        try:
+            fd = os.open(path, os.O_RDONLY)
+        except FileNotFoundError:
+            continue
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
 
 
 def read_artifact(path: str | os.PathLike,
@@ -245,9 +274,9 @@ def read_artifact(path: str | os.PathLike,
 
 
 def write_artifact(path: str | os.PathLike, payload: bytes,
-                   kind: str) -> None:
+                   kind: str, *, fsync: bool = True) -> None:
     """Atomically write ``payload`` as a framed artifact."""
-    atomic_write_bytes(path, frame(payload, kind))
+    atomic_write_bytes(path, frame(payload, kind), fsync=fsync)
 
 
 def read_text(path: str | os.PathLike) -> str:

@@ -13,9 +13,10 @@ The cache key is a SHA-256 over three components:
 
 Entries are one JSON file per key under ``cache/`` in the service root,
 written atomically inside a checksummed integrity envelope, so the cache
-survives service restarts and is shared by every worker.  A corrupt or
-truncated entry is never served: it is quarantined, counted, and treated
-as a miss — the job recomputes and overwrites it.
+survives service restarts and is shared by every worker.  Entries are
+derived data and are never fsync'd: a power cut may lose or tear one.  A
+corrupt or truncated entry is never served: it is quarantined, counted,
+and treated as a miss — the job recomputes and overwrites it.
 """
 
 from __future__ import annotations
@@ -106,9 +107,10 @@ class ResultCache:
         return payload
 
     def put(self, key: str, payload: dict[str, Any]) -> None:
-        """Atomically persist a payload (last writer wins)."""
+        """Atomically store a payload, without fsync (last writer wins)."""
         text = codec.seal_json(json_safe(payload), codec.KIND_CACHE_ENTRY)
-        codec.atomic_write_bytes(self._path(key), text.encode("utf-8"))
+        codec.atomic_write_bytes(self._path(key), text.encode("utf-8"),
+                                 fsync=False)
 
     def evict_all(self) -> int:
         """Delete every cache entry (disk-pressure relief); returns the

@@ -9,7 +9,10 @@ charges ~13 s/GB of flush traffic, Section V-B).
 Lines can be held in memory (the default for scaled-down runs) or written
 to disk as little-endian int32 pairs inside a checksummed artifact frame
 (:mod:`repro.integrity.codec`), preserving the paper's storage format and
-its I/O behaviour while making corruption detectable at read time.
+its I/O behaviour while making corruption detectable at read time.  A
+disk line is written atomically but not fsync'd;
+:meth:`SpecialLineStore.sync` flushes it when a Stage-1 checkpoint is
+about to depend on it.
 """
 
 from __future__ import annotations
@@ -111,6 +114,11 @@ class SpecialLineStore:
     ``directory/index.jsonl``; passing ``recover=True`` replays that
     journal so a *new process* resuming a crashed run (Stage-1 checkpoint
     restart) sees every line flushed before the crash.
+
+    Line files are not fsync'd as they are written.  The store keeps the
+    lines it wrote, or re-registered on recovery, since its last
+    :meth:`sync`; Stage 1 calls that barrier just before each checkpoint,
+    so a checkpoint never outlives the rows it resumes from.
     """
 
     def __init__(self, capacity_bytes: int, directory: str | os.PathLike | None = None,
@@ -132,6 +140,8 @@ class SpecialLineStore:
         #: and load is wrapped in an ``sra.flush`` / ``sra.load`` span.
         self.tracer = tracer
         self._lines: dict[tuple[str, int], SavedLine] = {}
+        #: Disk lines not yet fsync'd (written or recovered since sync()).
+        self._unsynced: set[tuple[str, int]] = set()
         if recover and self.directory is not None:
             self._recover()
 
@@ -160,8 +170,9 @@ class SpecialLineStore:
             path = self._path(namespace, line.position)
             os.makedirs(os.path.dirname(path), exist_ok=True)
             codec.write_artifact(path, payload.tobytes(),
-                                 codec.KIND_SPECIAL_LINE)
+                                 codec.KIND_SPECIAL_LINE, fsync=False)
             self._append_index(namespace, line)
+            self._unsynced.add(key)
         self._lines[key] = line
         self.bytes_used += line.nbytes
         self.bytes_written += line.nbytes
@@ -197,6 +208,11 @@ class SpecialLineStore:
         return SavedLine(axis=meta.axis, position=meta.position, lo=meta.lo,
                          H=payload[0::2].copy(), G=payload[1::2].copy())
 
+    def sync(self) -> None:
+        """Barrier: fsync every line written or recovered since the last."""
+        codec.fsync_files(self._path(*key) for key in self._unsynced)
+        self._unsynced.clear()
+
     def positions(self, namespace: str) -> list[int]:
         """Sorted line positions stored under a namespace."""
         return sorted(pos for ns, pos in self._lines if ns == namespace)
@@ -220,6 +236,7 @@ class SpecialLineStore:
         released = [k for k in self._lines if k[0] == namespace]
         for key in released:
             line = self._lines.pop(key)
+            self._unsynced.discard(key)
             freed += line.nbytes
             if self.directory is not None:
                 path = self._path(*key)
@@ -246,6 +263,7 @@ class SpecialLineStore:
         line = self._lines.pop(key, None)
         if line is not None:
             self.bytes_used -= line.nbytes
+        self._unsynced.discard(key)
         self.corrupt_lines += 1
         if self.directory is None:
             return None
@@ -336,3 +354,6 @@ class SpecialLineStore:
             self._lines[key] = line
             self.bytes_used += line.nbytes
             self.recovered_lines += 1
+        # The dead process may have left any of them in the page cache
+        # only: the next checkpoint's barrier must flush them too.
+        self._unsynced = set(self._lines)

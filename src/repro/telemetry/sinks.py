@@ -2,9 +2,10 @@
 
 Four implementations cover the pipeline's needs:
 
-* :class:`InMemorySink` — keeps finished spans and metric events in
-  lists; feeds ``PipelineResult.spans`` and the run manifest, and is
-  what tests assert against.
+* :class:`InMemorySink` — keeps finished spans in a list (metric
+  updates are not kept: the registry holds their current values); feeds
+  ``PipelineResult.spans`` and the run manifest, and is what tests
+  assert against.
 * :class:`JsonLinesSink` — appends one JSON object per event to a file
   (the ``--trace FILE`` format); every line round-trips through
   ``json.loads``.
@@ -50,20 +51,15 @@ class TelemetrySink:
 
 
 class InMemorySink(TelemetrySink):
-    """Collects finished spans and metric events in memory."""
+    """Collects finished spans in memory."""
 
     def __init__(self) -> None:
         self.spans: list[Span] = []          # completed, in end order
-        self.metric_events: list[tuple[str, str, int | float]] = []
         self._lock = threading.Lock()
 
     def on_span_end(self, span: Span) -> None:
         with self._lock:
             self.spans.append(span)
-
-    def on_metric(self, name: str, kind: str, value: int | float) -> None:
-        with self._lock:
-            self.metric_events.append((name, kind, value))
 
     # ------------------------------------------------------------- helpers
     def find(self, name: str) -> list[Span]:

@@ -4,11 +4,12 @@ degrade-don't-die recovery, and the fsck scan/repair cycle."""
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 import pytest
 
-from repro.core import CUDAlign, small_config
+from repro.core import CUDAlign, run_stage1, small_config
 from repro.core.checkpoint import load_checkpoint, save_checkpoint
 from repro.errors import ConfigError, IntegrityError, StorageError
 from repro.integrity import (
@@ -20,7 +21,8 @@ from repro.integrity import (
     fsck_tree,
     inject,
 )
-from repro.service import JobQueue, JobSpec, ResultCache, replay_journal
+from repro.service import (JobQueue, JobSpec, ResultCache, execute_job,
+                           prepare_group, replay_journal)
 from repro.storage.sra import SavedLine, SpecialLineStore
 
 from tests.conftest import make_pair
@@ -410,3 +412,129 @@ class TestFsck:
         replay = replay_journal(root / "journal.jsonl")
         assert replay.corrupt == 0
         assert len(replay.records) == 1
+
+
+# ------------------------------------------------------------- durability
+class _FsyncSpy:
+    """Records the file behind every ``os.fsync`` call, in call order.
+
+    At each fsync of a checkpoint it also snapshots the special-line
+    files then on disk under ``sra_dir``: the lines that checkpoint
+    resumes from.
+    """
+
+    def __init__(self, monkeypatch, sra_dir):
+        self.paths: list[str] = []
+        self.checkpoints: list[tuple[int, set[str]]] = []
+        self.sra_dir = sra_dir
+        real = os.fsync
+
+        def spy(fd):
+            path = os.readlink(f"/proc/self/fd/{fd}")
+            if path.endswith(".ckpt.tmp"):
+                self.checkpoints.append((len(self.paths), self.lines()))
+            self.paths.append(path)
+            real(fd)
+
+        monkeypatch.setattr(os, "fsync", spy)
+
+    def lines(self) -> set[str]:
+        return {os.path.realpath(os.path.join(top, name))
+                for top, _, names in os.walk(self.sra_dir)
+                for name in names if name.endswith(".bin")}
+
+    def line_fsyncs(self) -> list[str]:
+        return [p for p in self.paths if p.endswith(".bin")]
+
+
+class _Killed(RuntimeError):
+    pass
+
+
+def _kill_halfway(stage, fraction):
+    if fraction >= 0.5:
+        raise _Killed(stage)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="the fsync spy names an fd through /proc")
+class TestDurabilityContract:
+    """fsync follows the recovery that reads the bytes back: a special
+    line becomes durable at the next checkpoint of its run, before that
+    checkpoint's own write, and nothing else the pipeline or the service
+    writes for its own use is fsync'd."""
+
+    @pytest.fixture
+    def pair(self, rng):
+        s0, s1 = make_pair(rng, 300, 280)
+        return s0, s1, small_config(block_rows=32, n=len(s1), sra_rows=5)
+
+    def _stage1(self, pair, tmp_path, *, recover=False, progress=None):
+        s0, s1, config = pair
+        sra = SpecialLineStore(config.sra_bytes, directory=tmp_path / "sra",
+                               recover=recover)
+        return sra, run_stage1(s0, s1, config, sra,
+                               checkpoint_path=str(tmp_path / "stage1.ckpt"),
+                               checkpoint_every_rows=16, progress=progress)
+
+    def test_lines_durable_before_each_checkpoint(self, pair, tmp_path,
+                                                  monkeypatch):
+        spy = _FsyncSpy(monkeypatch, tmp_path / "sra")
+        self._stage1(pair, tmp_path)
+        assert spy.checkpoints and spy.checkpoints[-1][1]
+        for before, lines in spy.checkpoints:
+            assert lines <= set(spy.paths[:before])
+        # Exactly those: each line once, none saved after the last
+        # checkpoint.
+        synced = spy.line_fsyncs()
+        assert len(synced) == len(set(synced))
+        assert set(synced) == spy.checkpoints[-1][1]
+
+    def test_recovered_lines_durable_before_next_checkpoint(
+            self, pair, tmp_path, monkeypatch):
+        with pytest.raises(_Killed):
+            self._stage1(pair, tmp_path, progress=_kill_halfway)
+        spy = _FsyncSpy(monkeypatch, tmp_path / "sra")
+        recovered = spy.lines()
+        sra, resumed = self._stage1(pair, tmp_path, recover=True)
+        assert resumed.resumed_from_row > 0
+        assert sra.recovered_lines == len(recovered) > 0
+        assert spy.checkpoints
+        assert recovered <= set(spy.paths[:spy.checkpoints[0][0]])
+
+    def test_pair_run_without_checkpoint_fsyncs_nothing(self, pair, tmp_path,
+                                                        monkeypatch):
+        s0, s1, config = pair
+        spy = _FsyncSpy(monkeypatch, tmp_path / "wd" / "sra")
+        CUDAlign(config, workdir=tmp_path / "wd").run(s0, s1)
+        assert spy.lines()
+        assert spy.paths == []
+
+    def test_grouped_job_fsyncs_nothing(self, tmp_path, monkeypatch):
+        specs = [JobSpec(catalog="162Kx172K", scale=8192, seed=seed,
+                         block_rows=32) for seed in (0, 1)]
+        spy = _FsyncSpy(monkeypatch, tmp_path)
+        sweepers, _ = prepare_group(specs)
+        for spec in specs:
+            execute_job(spec, str(tmp_path / spec.job_id), 1,
+                        stage1_sweeper=sweepers[spec.job_id])
+        assert spy.lines()
+        assert spy.paths == []
+
+    def test_sync_skips_a_vanished_line(self, tmp_path, monkeypatch):
+        store = SpecialLineStore(10**6, directory=tmp_path)
+        for pos in (8, 16):
+            store.save("x", SavedLine(axis="row", position=pos, lo=0,
+                                      H=np.arange(6, dtype=np.int32),
+                                      G=np.zeros(6, dtype=np.int32)))
+        (tmp_path / "x" / "8.bin").unlink()
+        spy = _FsyncSpy(monkeypatch, tmp_path)
+        store.sync()        # a lost line is caught at load, not here
+        assert spy.paths == [os.path.realpath(tmp_path / "x" / "16.bin")]
+        store.sync()
+        assert len(spy.paths) == 1
+
+    def test_cache_put_fsyncs_nothing(self, tmp_path, monkeypatch):
+        spy = _FsyncSpy(monkeypatch, tmp_path)
+        ResultCache(tmp_path).put("k" * 16, {"best_score": 17})
+        assert spy.paths == []
