@@ -581,7 +581,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run workdir or service root to scan")
     p_fsck.add_argument("--repair", action="store_true",
                         help="quarantine corrupt artifacts and rewrite "
-                             "damaged journals keeping their valid records")
+                             "damaged journals and SRA logs keeping their "
+                             "valid records")
     p_fsck.add_argument("--json", action="store_true",
                         help="print the report as JSON")
     p_fsck.set_defaults(func=cmd_fsck)

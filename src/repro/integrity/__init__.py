@@ -18,7 +18,6 @@ from repro.integrity.codec import (
     KIND_CHECKPOINT,
     KIND_JOURNAL_RECORD,
     KIND_SPECIAL_LINE,
-    KIND_SRA_INDEX,
     MAGIC,
     QUARANTINE_DIR,
     append_journal_record,
@@ -48,7 +47,6 @@ __all__ = [
     "MAGIC",
     "FRAME_VERSION",
     "KIND_SPECIAL_LINE",
-    "KIND_SRA_INDEX",
     "KIND_CHECKPOINT",
     "KIND_CACHE_ENTRY",
     "KIND_JOURNAL_RECORD",

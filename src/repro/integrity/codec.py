@@ -12,25 +12,28 @@ Three framings, one :class:`~repro.errors.IntegrityError` contract:
 * **Binary artifacts** (:func:`frame` / :func:`unframe`) — a fixed
   header ``magic | version | kind | payload length | CRC32 | SHA-256``
   followed by the payload.  The CRC is the cheap first-line check, the
-  SHA-256 the authoritative one.  Used for SRA line files, Stage-1
-  ``.npz`` checkpoints and binary alignment files.
+  SHA-256 the authoritative one.  Used for Stage-1 ``.npz``
+  checkpoints, binary alignment files and the records of the SRA's
+  append-only logs (one frame per special line, back to back;
+  :func:`frame_size` finds where each ends).
 * **JSON-line records** (:func:`seal_record` / :func:`verify_record`) —
-  appendable journals (``journal.jsonl``, ``index.jsonl``) carry a
-  ``crc`` field per line, computed over the canonical JSON of the rest
-  of the record.  A corrupt *middle* record is therefore distinguishable
-  from a merely unknown one.
+  the appendable job journal (``journal.jsonl``) carries a ``crc``
+  field per line, computed over the canonical JSON of the rest of the
+  record.  A corrupt *middle* record is therefore distinguishable from
+  a merely unknown one.
 * **JSON envelopes** (:func:`seal_json` / :func:`open_json`) —
   human-readable artifacts (result-cache entries) stay readable: the
   payload is wrapped with its own SHA-256 over the canonical payload
   encoding.
 
-File I/O goes through :func:`read_bytes` / :func:`atomic_write_bytes` /
+File I/O goes through :func:`read_bytes` / :func:`read_range` /
+:func:`atomic_write_bytes` / :func:`append_bytes` /
 :func:`append_journal_record`, which are the interposition points of the
 deterministic fault harness (:mod:`repro.integrity.faults`).  A write
 is fsync'd only where a recovery or the user reads it back after a
 power cut: checkpoints, binary alignments and fsck's rewrites on write,
-special lines at their run's next checkpoint (:func:`fsync_files`),
-cache entries never (a torn one fails its checksum and is recomputed).
+SRA logs at their run's next checkpoint (:func:`fsync_files`), cache
+entries never (a torn one fails its checksum and is recomputed).
 """
 
 from __future__ import annotations
@@ -59,7 +62,6 @@ _HEADER = struct.Struct("<4sHHQI32s")
 # Canonical artifact kind names (the frame is self-describing, so fsck
 # can classify any artifact from its header alone).
 KIND_SPECIAL_LINE = "special-line"
-KIND_SRA_INDEX = "sra-index"
 KIND_CHECKPOINT = "checkpoint"
 KIND_CACHE_ENTRY = "cache-entry"
 KIND_JOURNAL_RECORD = "journal-record"
@@ -130,6 +132,22 @@ def unframe(blob: bytes, *, expect_kind: str | None = None,
             "artifact SHA-256 mismatch", kind=kind, path=path,
             expected=sha.hex(), actual=actual_sha.hex())
     return kind, payload
+
+
+def frame_size(blob: bytes, offset: int = 0) -> int | None:
+    """Length of the frame whose header starts at ``offset`` in ``blob``.
+
+    ``None`` where no frame header starts there: too few bytes left for
+    one, or the magic or version is wrong.  The length is what the header
+    declares — :func:`unframe` still has to verify the frame.
+    """
+    if len(blob) - offset < _HEADER.size:
+        return None
+    magic, version, kind_len, payload_len, _, _ = _HEADER.unpack_from(
+        blob, offset)
+    if magic != MAGIC or version != FRAME_VERSION:
+        return None
+    return _HEADER.size + kind_len + payload_len
 
 
 # -------------------------------------------------------- JSON-line records
@@ -219,6 +237,19 @@ def read_bytes(path: str | os.PathLike) -> bytes:
     return data
 
 
+def read_range(path: str | os.PathLike, offset: int, length: int) -> bytes:
+    """Read ``length`` bytes at ``offset`` (fewer past the end of the
+    file), through the fault-injection interposition."""
+    path = os.fspath(path)
+    with open(path, "rb") as handle:
+        handle.seek(offset)
+        data = handle.read(length)
+    plan = _faults.active_plan()
+    if plan is not None:
+        data = plan.on_read(path, data)
+    return data
+
+
 def atomic_write_bytes(path: str | os.PathLike, blob: bytes, *,
                        fsync: bool = True) -> None:
     """Write + fsync + rename, through the fault interposition.
@@ -289,6 +320,29 @@ def read_text(path: str | os.PathLike) -> str:
                              path=path) from exc
 
 
+def append_bytes(path: str | os.PathLike, blob: bytes, *,
+                 create: bool = False) -> int:
+    """Append ``blob`` to a file, through the fault interposition.
+
+    Returns the offset the blob starts at.  ``create=True`` starts the
+    file afresh, dropping whatever it held.  Nothing is fsync'd (see
+    :func:`fsync_files`) and no handle outlives the call.  An injected
+    torn append writes a prefix of ``blob`` and then raises, like a
+    process killed in the middle of the write.
+    """
+    path = os.fspath(path)
+    crash = None
+    plan = _faults.active_plan()
+    if plan is not None:
+        blob, crash = plan.on_append(path, blob)
+    with open(path, "wb" if create else "ab") as handle:
+        offset = handle.tell()
+        handle.write(blob)
+    if crash is not None:
+        raise crash
+    return offset
+
+
 def append_journal_record(path: str | os.PathLike,
                           record: dict[str, Any]) -> None:
     """Append one sealed record line to a JSON-lines journal.
@@ -333,13 +387,29 @@ def quarantine_file(path: str | os.PathLike, *,
     if not os.path.exists(path):
         return None
     base = os.fspath(root) if root is not None else os.path.dirname(path)
+    dest = _quarantine_dest(
+        base, label if label is not None else os.path.basename(path))
+    os.replace(path, dest)
+    return dest
+
+
+def quarantine_bytes(data: bytes, *, root: str | os.PathLike,
+                     label: str) -> str:
+    """Preserve damaged bytes cut out of a larger file (a log record) as
+    ``root/quarantine/label``; returns where they were written."""
+    dest = _quarantine_dest(os.fspath(root), label)
+    with open(dest, "wb") as handle:
+        handle.write(data)
+    return dest
+
+
+def _quarantine_dest(base: str, name: str) -> str:
+    """A free name for ``name`` in ``base``'s quarantine directory."""
     qdir = os.path.join(base, QUARANTINE_DIR)
     os.makedirs(qdir, exist_ok=True)
-    name = label if label is not None else os.path.basename(path)
     dest = os.path.join(qdir, name)
     serial = 0
     while os.path.exists(dest):
         serial += 1
         dest = os.path.join(qdir, f"{name}.{serial}")
-    os.replace(path, dest)
     return dest

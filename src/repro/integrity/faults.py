@@ -1,11 +1,13 @@
 """Deterministic storage fault injection.
 
 The chaos half of the integrity layer: a :class:`FaultPlan` interposes
-on every artifact read/write/append the codec performs and injects
-bit-flips, truncation, torn renames, missing files, ``ENOSPC`` and slow
-I/O — chosen by *seed + site pattern*, so a failing chaos run replays
-bit-for-bit.  This replaces the private-attribute surgery tests used to
-do (``store._lines[...] = ...``) with a supported public surface.
+on every artifact read/write/append the codec performs — whole files,
+single SRA log records read back, records appended to a log — and
+injects bit-flips, truncation, torn renames and appends, missing files,
+``ENOSPC`` and slow I/O, chosen by *seed + site pattern*, so a failing
+chaos run replays bit-for-bit.  This replaces the private-attribute
+surgery tests used to do (``store._lines[...] = ...``) with a supported
+public surface.
 
 Two complementary entry points:
 
@@ -19,7 +21,8 @@ Two complementary entry points:
 :func:`tamper_special_line` covers the third corruption class: damage
 *past* the storage checksums (a flipped bit in device memory or on the
 bus).  Checksums cannot see it, so the pipeline's goal-match invariants
-must — the tests keep exercising that property through this hook.
+must — the tests keep exercising that property through this hook, on
+in-memory stores (a disk store holds no arrays to tamper with).
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ class FaultSpec:
 
     Attributes:
         site: ``fnmatch`` glob matched against the ``/``-normalized
-            artifact path *and* its basename (``"*/sra/stage1_rows/*.bin"``
+            artifact path *and* its basename (``"*/sra/stage1_rows.lines"``
             or just ``"*.ckpt"``).
         fault: ``bitflip`` | ``truncate`` | ``missing`` | ``slow`` for
             reads; ``bitflip`` | ``truncate`` | ``torn`` | ``enospc`` |
@@ -265,11 +268,20 @@ def tamper_special_line(store, namespace: str, position: int,
     codec cannot catch this by construction; the pipeline's goal-match
     invariants must.  Public chaos hook superseding the old test-only
     private-map surgery.
-    """
-    from repro.storage.sra import SavedLine
 
+    Only in-memory stores hold the arrays it replaces: on a disk-backed
+    store (``store.directory`` set) it raises :class:`ConfigError` —
+    damage a disk line through its log instead (:func:`inject`,
+    :func:`corrupt_file`).
+    """
+    from repro.storage.sra import SavedLine, _log_name
+
+    if store.directory is not None:
+        raise ConfigError(
+            "tamper_special_line needs an in-memory store; a disk-backed "
+            "store keeps its lines in its logs")
     line = store.load(namespace, position)
-    store._lines[(namespace, position)] = SavedLine(
+    store._lines[_log_name(namespace)][position] = SavedLine(
         axis=line.axis, position=line.position, lo=line.lo,
         H=line.H + np.int32(delta), G=line.G + np.int32(delta))
     return _Tampered(namespace, position, delta)

@@ -1,20 +1,20 @@
 """Offline artifact audit: the engine behind ``repro fsck <workdir>``.
 
-Walks a run or service directory, verifies every checksummed artifact it
-recognises, and cross-references SRA index journals against their
-payload files.  Artifacts are classified by *content*, not just by name:
+Walks a run or service directory and verifies every checksummed artifact
+it recognises.  Artifacts are classified by *content*, not just by name:
 any file opening with the ``RPIA`` magic is a binary frame (the frame
-embeds its own kind), ``index.jsonl`` / ``journal.jsonl`` are sealed
-record journals, and ``.json`` files carrying a ``repro-artifact``
+embeds its own kind), ``.lines`` files are SRA logs verified record by
+record (:func:`repro.storage.sra.check_log`), ``journal.jsonl`` is a
+sealed record journal, and ``.json`` files carrying a ``repro-artifact``
 envelope are verified against their embedded SHA-256.
 
 ``repair=True`` makes the scan converge instead of just report: corrupt
 framed artifacts and cache entries are quarantined (preserved under
-``quarantine/``, never deleted), and damaged journals are rewritten
-keeping only their valid sealed records — exactly the records replay
-would have honoured — with the original quarantined first.  Dropped SRA
-index records mark their lines for recomputation; losing a special line
-widens a partition, it never changes the alignment.
+``quarantine/``, never deleted), and damaged journals and SRA logs are
+rewritten keeping only their valid records — exactly the records replay
+or recovery would have honoured — with the original quarantined first.
+A special line dropped from its log is recomputed by the run that needs
+it; losing one widens a partition, it never changes the alignment.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from repro.errors import IntegrityError
 from repro.integrity import codec
 
 #: Journal basenames whose every line must be a sealed record.
-JOURNAL_NAMES = ("index.jsonl", "journal.jsonl")
+JOURNAL_NAMES = ("journal.jsonl",)
 
 #: Suffixes that must always hold a framed artifact.
 FRAMED_SUFFIXES = (".bin", ".ckpt")
@@ -38,10 +38,11 @@ FRAMED_SUFFIXES = (".bin", ".ckpt")
 class Finding:
     """One integrity defect located by the scan."""
 
-    path: str            # file (":<lineno>" appended for journal lines)
+    path: str            # file (":<lineno>" appended for journal lines,
+                         # "@<offset>" for SRA log records)
     kind: str | None     # artifact kind, when the frame/record names one
     problem: str         # bad-frame | corrupt-record | bad-envelope |
-                         # not-framed | missing-payload
+                         # not-framed
     detail: str
 
     def to_json(self) -> dict[str, Any]:
@@ -79,6 +80,8 @@ def fsck_tree(root: str | os.PathLike, *, repair: bool = False) -> FsckReport:
     the expected fixed point).  Quarantined files and ``.tmp`` leftovers
     are never scanned.
     """
+    from repro.storage.sra import LOG_SUFFIX  # storage imports integrity
+
     root = os.fspath(root)
     report = FsckReport(root=root)
     for dirpath, dirnames, filenames in os.walk(root):
@@ -91,6 +94,9 @@ def fsck_tree(root: str | os.PathLike, *, repair: bool = False) -> FsckReport:
             if name in JOURNAL_NAMES:
                 report.scanned += 1
                 _check_journal(path, report, repair=repair)
+            elif name.endswith(LOG_SUFFIX):
+                report.scanned += 1
+                _check_log(path, report, repair=repair)
             elif _sniff_frame(path):
                 report.scanned += 1
                 _check_frame(path, report, repair=repair)
@@ -101,7 +107,6 @@ def fsck_tree(root: str | os.PathLike, *, repair: bool = False) -> FsckReport:
                       repair=repair)
             elif name.endswith(".json"):
                 _check_json(path, report, repair=repair)
-    _cross_reference(root, report, repair=repair)
     return report
 
 
@@ -133,6 +138,21 @@ def _check_frame(report_path_hint: str, report: FsckReport, *,
     except IntegrityError as exc:
         _flag(report, path, exc.kind, "bad-frame", str(exc), repair=repair)
         return
+    report.verified += 1
+
+
+def _check_log(path: str, report: FsckReport, *, repair: bool) -> None:
+    """Verify an SRA log record by record; repairing rewrites its intact
+    records."""
+    from repro.storage.sra import check_log
+
+    damage = check_log(path, repair=repair)
+    if damage and not repair:
+        report.findings.extend(
+            Finding(where, codec.KIND_SPECIAL_LINE, "bad-frame", detail)
+            for where, detail in damage)
+        return
+    report.repaired.extend(where for where, _ in damage)
     report.verified += 1
 
 
@@ -196,61 +216,3 @@ def _check_json(path: str, report: FsckReport, *, repair: bool) -> None:
               repair=repair)
         return
     report.verified += 1
-
-
-def _cross_reference(root: str, report: FsckReport, *, repair: bool) -> None:
-    """Check every valid SRA index record against its payload file.
-
-    A record whose payload is gone (or was quarantined above) marks the
-    line for recomputation; repair drops the dangling record from the
-    index so the tree converges to clean.
-    """
-    for dirpath, dirnames, filenames in os.walk(root):
-        dirnames[:] = sorted(d for d in dirnames
-                             if d != codec.QUARANTINE_DIR)
-        if "index.jsonl" not in filenames:
-            continue
-        index = os.path.join(dirpath, "index.jsonl")
-        try:
-            text = codec.read_text(index)
-        except (IntegrityError, FileNotFoundError):
-            continue  # already reported (or repaired away) above
-        entries: list[tuple[str, dict[str, Any]]] = []
-        for raw in text.splitlines():
-            if not raw.strip():
-                continue
-            try:
-                entries.append((raw.strip(),
-                                codec.verify_record(raw, path=index)))
-            except IntegrityError:
-                continue  # reported by _check_journal
-        # Fold the journal: a save record promises a payload until a
-        # ``released`` (whole namespace) or ``dropped`` (one quarantined
-        # line) tombstone retires it.
-        live: dict[tuple[str, int], str] = {}
-        for _, rec in entries:
-            ns = str(rec.get("ns"))
-            if rec.get("released"):
-                for key in [k for k in live if k[0] == ns]:
-                    live.pop(key)
-            elif rec.get("dropped"):
-                live.pop((ns, rec["pos"]), None)
-            else:
-                live[(ns, rec["pos"])] = os.path.join(
-                    dirpath, ns.replace("/", "_"), f"{rec['pos']}.bin")
-        dangling_keys = {key for key, payload in live.items()
-                         if not os.path.exists(payload)}
-        if not dangling_keys:
-            continue
-        dangling = [Finding(
-            live[(ns, pos)], codec.KIND_SPECIAL_LINE, "missing-payload",
-            f"index {index} declares line ns={ns} pos={pos} but the "
-            f"payload file is gone") for ns, pos in sorted(dangling_keys)]
-        if repair:
-            kept = [raw for raw, rec in entries
-                    if (str(rec.get("ns")), rec.get("pos"))
-                    not in dangling_keys]
-            _rewrite_journal(index, kept)
-            report.repaired.extend(f.path for f in dangling)
-        else:
-            report.findings.extend(dangling)

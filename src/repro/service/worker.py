@@ -41,6 +41,7 @@ from typing import Any
 from repro.errors import ConfigError, StorageError
 from repro.core.checkpoint import checkpoint_row
 from repro.core.pipeline import CUDAlign
+from repro.sequences.sequence import Sequence
 from repro.service.job import JobRecord, JobSpec
 from repro.service.supervision import rss_bytes
 from repro.telemetry.manifest import sequence_digest
@@ -204,7 +205,9 @@ def core_budget(cpu_count: int, job_slots: int) -> int:
 def execute_job(spec: JobSpec, workdir: str, attempt: int,
                 core_budget: int | None = None,
                 observer: PipelineObserver | None = None,
-                stage1_sweeper=None) -> dict[str, Any]:
+                stage1_sweeper=None,
+                sequences: tuple[Sequence, Sequence] | None = None
+                ) -> dict[str, Any]:
     """Run one attempt of a job in-process; returns the result summary.
 
     This is the body every worker process runs, importable so tests and
@@ -217,9 +220,10 @@ def execute_job(spec: JobSpec, workdir: str, attempt: int,
     *after* the chaos injectors (worker children pass the heartbeat
     sender here, so an injected hang silences the heartbeat too).
     ``stage1_sweeper`` hands the pipeline a pre-built (typically already
-    completed) Stage-1 sweeper — the micro-batcher's fused presweep.
+    completed) Stage-1 sweeper — the micro-batcher's fused presweep —
+    and ``sequences`` the input pair that presweep already built.
     """
-    s0, s1 = spec.load_sequences()
+    s0, s1 = sequences if sequences is not None else spec.load_sequences()
     config = spec.pipeline_config(n=len(s1))
     if core_budget is not None and config.workers > core_budget:
         config = replace(config, workers=core_budget)
@@ -266,15 +270,17 @@ def execute_job(spec: JobSpec, workdir: str, attempt: int,
     }
 
 
-def prepare_group(specs) -> tuple[dict[str, Any], dict[str, Any]]:
+def prepare_group(specs) -> tuple[dict[str, Any], dict[str, Any],
+                                  dict[str, tuple[Sequence, Sequence]]]:
     """Fused Stage-1 presweep for a coalesced group (child-process side).
 
     Builds one Stage-1 lane per spec — with exactly the save
     rows, tracking options and scheme Stage 1 itself would request (see
     :func:`~repro.core.stage1.stage1_sweep_plan`) — and runs every lane
     to completion through length-bucketed fused dispatches.  Returns
-    ``(sweepers, stats)``: ``sweepers`` maps job id to its finished
-    lane, ready for ``execute_job(..., stage1_sweeper=...)``; ``stats``
+    ``(sweepers, stats, pairs)``: ``sweepers`` maps job id to its
+    finished lane and ``pairs`` to the input pair built for it, ready for
+    ``execute_job(..., stage1_sweeper=..., sequences=...)``; ``stats``
     is :func:`~repro.align.batched.sweep_batched`'s honest batch report
     (lanes, buckets, padding waste).
     """
@@ -282,15 +288,16 @@ def prepare_group(specs) -> tuple[dict[str, Any], dict[str, Any]]:
     from repro.align.rowscan import RowSweeper
     from repro.core.stage1 import stage1_sweep_plan
     sweepers: dict[str, Any] = {}
+    pairs: dict[str, tuple[Sequence, Sequence]] = {}
     for spec in specs:
-        s0, s1 = spec.load_sequences()
+        s0, s1 = pairs[spec.job_id] = spec.load_sequences()
         config = spec.pipeline_config(n=len(s1))
         _, rows = stage1_sweep_plan(len(s0), len(s1), config)
         sweepers[spec.job_id] = RowSweeper(
             s0.codes, s1.codes, config.scheme,
             local=True, track_best=True, save_rows=list(rows))
     stats = sweep_batched(list(sweepers.values()))
-    return sweepers, stats
+    return sweepers, stats, pairs
 
 
 #: Signals a job child must take with the interpreter's defaults.
@@ -371,7 +378,7 @@ def _group_main(conn, jobs: list[dict[str, Any]],
         specs = [JobSpec.from_json(job["spec"]) for job in jobs]
         heartbeat = HeartbeatSender(conn)
         heartbeat.on_stage_start("batch:presweep")
-        sweepers, stats = prepare_group(specs)
+        sweepers, stats, pairs = prepare_group(specs)
         heartbeat.on_stage_end("batch:presweep", None)
         try:
             conn.send({"batch_stats": stats})
@@ -384,7 +391,8 @@ def _group_main(conn, jobs: list[dict[str, Any]],
                     spec, job["workdir"], job["attempt"],
                     core_budget=core_budget,
                     observer=_StagePrefix(heartbeat, prefix),
-                    stage1_sweeper=sweepers[spec.job_id])
+                    stage1_sweeper=sweepers[spec.job_id],
+                    sequences=pairs[spec.job_id])
                 conn.send({"job_done": True, "job_id": spec.job_id,
                            "ok": True, "summary": summary})
             except BaseException as exc:

@@ -6,19 +6,31 @@ byte budget exactly like the paper's ``|SRA|`` constant, exposes the
 flush-interval law, and accounts every byte written (the performance model
 charges ~13 s/GB of flush traffic, Section V-B).
 
-Lines can be held in memory (the default for scaled-down runs) or written
-to disk as little-endian int32 pairs inside a checksummed artifact frame
-(:mod:`repro.integrity.codec`), preserving the paper's storage format and
-its I/O behaviour while making corruption detectable at read time.  A
-disk line is written atomically but not fsync'd;
-:meth:`SpecialLineStore.sync` flushes it when a Stage-1 checkpoint is
-about to depend on it.
+Lines can be held in memory (the default for scaled-down runs) or
+appended to disk, where each namespace is one append-only log:
+``sra/stage1_rows.lines`` for Stage 1's rows, ``sca/stage2_band<k>.lines``
+for each Stage-2 band's columns (the namespace with ``/`` spelled ``_``,
+plus :data:`LOG_SUFFIX`).  A log and its directory are created at the
+namespace's first save, as the paper's sweep drains rows into one area.
+Each record is a checksummed ``special-line`` artifact frame
+(:mod:`repro.integrity.codec`) whose payload is a small header (axis,
+position, lo, count) followed by the line's H and G values as
+interleaved int32 pairs, so corruption is detected at read time and the
+log alone says which lines it holds.
+
+Records are not fsync'd as they are appended;
+:meth:`SpecialLineStore.sync` flushes the logs when a Stage-1 checkpoint
+is about to depend on them, which makes both the lines and their
+registration durable.  ``recover=True`` rebuilds a store from its logs,
+and :func:`check_log` is what ``repro fsck`` verifies and repairs a log
+with: this module is the only one that knows the layout.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,9 +39,20 @@ from repro.constants import SCORE_DTYPE, SPECIAL_CELL_BYTES
 from repro.errors import IntegrityError, StorageError
 from repro.integrity import codec
 
-#: Per-store metadata journal of the disk-backed layout (one JSON line per
-#: saved special line) — what makes a store recoverable by a new process.
-INDEX_NAME = "index.jsonl"
+#: File suffix of a namespace's append-only log.
+LOG_SUFFIX = ".lines"
+
+# A record's payload header: axis, position, lo, count (values per array).
+_HEAD = struct.Struct("<3sxqqq")
+_AXES = {b"row": "row", b"col": "col"}
+# The axis of a void record: the all-zero stand-in written over a damaged
+# record, so the log keeps its length and every record after it.
+_VOID_AXIS = bytes(3)
+# The shortest void record (frame overhead plus the payload header).
+_VOID_MIN = len(codec.frame(b"", codec.KIND_SPECIAL_LINE)) + _HEAD.size
+# A verified line record: its (axis, position, lo, count) and its
+# interleaved H/G values.
+_Record = tuple[tuple[str, int, int, int], np.ndarray]
 
 
 def flush_interval_blocks(m: int, n: int, block_rows: int, sra_bytes: int) -> int:
@@ -102,23 +125,42 @@ class SavedLine:
         return int(self.H[k]), int(self.G[k])
 
 
+@dataclass(frozen=True)
+class _Slot:
+    """A disk line: its metadata and where its record sits in the log."""
+
+    axis: str
+    position: int
+    lo: int
+    count: int
+    offset: int
+    length: int
+
+    @property
+    def nbytes(self) -> int:
+        return SPECIAL_CELL_BYTES * self.count
+
+
 class SpecialLineStore:
     """Byte-budgeted store of special rows/columns.
 
     Namespaces keep each producer's lines separate (e.g. Stage 1's rows vs
-    the per-band columns of Stage 2).  With ``directory`` set, every line
-    is round-tripped through a raw binary file — the real disk behaviour
-    the paper measures; otherwise lines stay in memory.
+    the per-band columns of Stage 2); on disk a namespace is named by its
+    log, so ``a/b`` and ``a_b`` are one namespace.  With ``directory``
+    set, every line is appended to its namespace's log — the real disk
+    behaviour the paper measures — and the store keeps only each line's
+    metadata and record offset; otherwise lines stay in memory.
 
-    A disk-backed store also appends one metadata line per save to
-    ``directory/index.jsonl``; passing ``recover=True`` replays that
-    journal so a *new process* resuming a crashed run (Stage-1 checkpoint
-    restart) sees every line flushed before the crash.
+    A store creates each log afresh at its namespace's first save, so a
+    run never mixes its lines with a dead run's.  ``recover=True`` instead
+    continues the logs already in ``directory``: it re-registers every
+    intact record, so a *new process* resuming a crashed run (Stage-1
+    checkpoint restart) sees every line flushed before the crash.
 
-    Line files are not fsync'd as they are written.  The store keeps the
-    lines it wrote, or re-registered on recovery, since its last
-    :meth:`sync`; Stage 1 calls that barrier just before each checkpoint,
-    so a checkpoint never outlives the rows it resumes from.
+    Logs are not fsync'd as they are appended.  The store keeps the logs
+    it appended to, or recovered, since its last :meth:`sync`; Stage 1
+    calls that barrier just before each checkpoint, so a checkpoint never
+    outlives the rows it resumes from.
     """
 
     def __init__(self, capacity_bytes: int, directory: str | os.PathLike | None = None,
@@ -127,21 +169,23 @@ class SpecialLineStore:
             raise StorageError("capacity must be non-negative")
         self.capacity_bytes = int(capacity_bytes)
         self.directory = os.fspath(directory) if directory is not None else None
-        if self.directory is not None:
-            os.makedirs(self.directory, exist_ok=True)
         self.bytes_used = 0
         self.bytes_written = 0  # lifetime flush traffic (perf model input)
         self.bytes_read = 0     # lifetime load traffic
-        #: Number of lines re-registered from the on-disk index journal.
+        #: Number of lines re-registered from the logs on recovery.
         self.recovered_lines = 0
-        #: Corrupt artifacts detected (and quarantined) during recovery.
+        #: Damaged lines dropped: found by recovery, or quarantined by a
+        #: consumer after a failed load.
         self.corrupt_lines = 0
         #: Optional :class:`repro.telemetry.Tracer`; when set, every flush
         #: and load is wrapped in an ``sra.flush`` / ``sra.load`` span.
         self.tracer = tracer
-        self._lines: dict[tuple[str, int], SavedLine] = {}
-        #: Disk lines not yet fsync'd (written or recovered since sync()).
-        self._unsynced: set[tuple[str, int]] = set()
+        #: Lines by namespace (log name), then position: a SavedLine in
+        #: memory, a _Slot on disk.  On disk a namespace is here from the
+        #: moment this store created or recovered its log.
+        self._lines: dict[str, dict[int, SavedLine | _Slot]] = {}
+        #: Logs appended to or recovered since the last sync().
+        self._unsynced: set[str] = set()
         if recover and self.directory is not None:
             self._recover()
 
@@ -156,66 +200,74 @@ class SpecialLineStore:
         self._save(namespace, line)
 
     def _save(self, namespace: str, line: SavedLine) -> None:
-        key = (namespace, line.position)
-        if key in self._lines:
-            raise StorageError(f"line {key} already saved")
+        name = _log_name(namespace)
+        lines = self._lines.get(name)
+        if lines is not None and line.position in lines:
+            raise StorageError(
+                f"line {(namespace, line.position)} already saved")
         if self.bytes_used + line.nbytes > self.capacity_bytes:
             raise StorageError(
                 f"SRA budget exceeded: {self.bytes_used + line.nbytes} > "
                 f"{self.capacity_bytes} bytes")
+        entry: SavedLine | _Slot = line
         if self.directory is not None:
-            payload = np.empty(2 * line.H.size, dtype=SCORE_DTYPE)
-            payload[0::2] = line.H
-            payload[1::2] = line.G
-            path = self._path(namespace, line.position)
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            codec.write_artifact(path, payload.tobytes(),
-                                 codec.KIND_SPECIAL_LINE, fsync=False)
-            self._append_index(namespace, line)
-            self._unsynced.add(key)
-        self._lines[key] = line
+            record = _encode(line)
+            path = self._log_path(name)
+            if lines is None:
+                os.makedirs(self.directory, exist_ok=True)
+            offset = codec.append_bytes(path, record, create=lines is None)
+            self._unsynced.add(path)
+            entry = _Slot(line.axis, line.position, line.lo, line.H.size,
+                          offset, len(record))
+        self._lines.setdefault(name, {})[line.position] = entry
         self.bytes_used += line.nbytes
         self.bytes_written += line.nbytes
 
     def load(self, namespace: str, position: int) -> SavedLine:
-        key = (namespace, position)
+        name = _log_name(namespace)
         try:
-            meta = self._lines[key]
+            entry = self._lines[name][position]
         except KeyError:
-            raise StorageError(f"no special line saved at {key}") from None
-        self.bytes_read += meta.nbytes
+            raise StorageError(
+                f"no special line saved at {(namespace, position)}") from None
+        self.bytes_read += entry.nbytes
         if self.tracer is not None:
             with self.tracer.span("sra.load", namespace=namespace,
-                                  position=position, nbytes=meta.nbytes):
-                return self._load(meta, namespace, position)
-        return self._load(meta, namespace, position)
+                                  position=position, nbytes=entry.nbytes):
+                return self._load(name, entry)
+        return self._load(name, entry)
 
-    def _load(self, meta: SavedLine, namespace: str, position: int) -> SavedLine:
-        if self.directory is None:
-            return meta
-        path = self._path(namespace, position)
+    def _load(self, name: str, entry: SavedLine | _Slot) -> SavedLine:
+        if isinstance(entry, SavedLine):
+            return entry
+        path = self._log_path(name)
+        where = f"{path}@{entry.offset}"
         try:
-            raw = codec.read_artifact(path, codec.KIND_SPECIAL_LINE)
+            blob = codec.read_range(path, entry.offset, entry.length)
         except FileNotFoundError as exc:
             raise IntegrityError(
-                "special line payload file is missing",
+                "special line log is missing",
                 kind=codec.KIND_SPECIAL_LINE, path=path) from exc
-        payload = np.frombuffer(raw, dtype=SCORE_DTYPE)
-        if payload.size != 2 * meta.H.size:
+        record = _decode(blob, where)
+        head = (entry.axis, entry.position, entry.lo, entry.count)
+        if record is None or record[0] != head:
             raise IntegrityError(
-                f"special line holds {payload.size} values, index declares "
-                f"{2 * meta.H.size}", kind=codec.KIND_SPECIAL_LINE, path=path)
-        return SavedLine(axis=meta.axis, position=meta.position, lo=meta.lo,
-                         H=payload[0::2].copy(), G=payload[1::2].copy())
+                f"log record does not hold {entry.axis} {entry.position} "
+                f"(lo {entry.lo}, {entry.count} values)",
+                kind=codec.KIND_SPECIAL_LINE, path=where)
+        values = record[1]
+        return SavedLine(axis=entry.axis, position=entry.position,
+                         lo=entry.lo, H=values[0::2].copy(),
+                         G=values[1::2].copy())
 
     def sync(self) -> None:
-        """Barrier: fsync every line written or recovered since the last."""
-        codec.fsync_files(self._path(*key) for key in self._unsynced)
+        """Barrier: fsync every log appended to or recovered since the last."""
+        codec.fsync_files(sorted(self._unsynced))
         self._unsynced.clear()
 
     def positions(self, namespace: str) -> list[int]:
         """Sorted line positions stored under a namespace."""
-        return sorted(pos for ns, pos in self._lines if ns == namespace)
+        return sorted(self._lines.get(_log_name(namespace), ()))
 
     def has(self, namespace: str, position: int) -> bool:
         """O(1) membership probe.
@@ -224,136 +276,226 @@ class SpecialLineStore:
         checkpoint, so rows the dead run already flushed are not
         re-written (the budget would reject the duplicate anyway).
         """
-        return (namespace, position) in self._lines
+        return position in self._lines.get(_log_name(namespace), ())
 
     def release(self, namespace: str) -> int:
         """Drop every line of a namespace, freeing budget; returns bytes freed.
 
         The pipeline releases each band's special columns once Stage 3 has
-        consumed them, which is what keeps total disk usage O(m + n).
+        consumed them, which is what keeps total disk usage O(m + n).  On
+        disk the namespace's log is unlinked.
         """
-        freed = 0
-        released = [k for k in self._lines if k[0] == namespace]
-        for key in released:
-            line = self._lines.pop(key)
-            self._unsynced.discard(key)
-            freed += line.nbytes
-            if self.directory is not None:
-                path = self._path(*key)
-                if os.path.exists(path):
-                    os.remove(path)
-        if released and self.directory is not None:
-            # Tombstone the namespace so the index journal replays (and
-            # fsck cross-references) to the files actually on disk.
-            codec.append_journal_record(
-                self._index_path(), {"ns": namespace, "released": True})
+        name = _log_name(namespace)
+        freed = sum(entry.nbytes
+                    for entry in self._lines.pop(name, {}).values())
+        if self.directory is not None:
+            path = self._log_path(name)
+            self._unsynced.discard(path)
+            try:
+                os.remove(path)
+            except FileNotFoundError:
+                pass
         self.bytes_used -= freed
         return freed
 
     def quarantine(self, namespace: str, position: int) -> str | None:
-        """Drop a corrupt line: deregister it and preserve the damaged file.
+        """Drop a corrupt line: deregister it and preserve its damaged bytes.
 
         The degrade-don't-die primitive: after a load raises
         :class:`IntegrityError`, the consumer quarantines the line and
         recomputes across the gap (Stage 2 widens its band, Stage 3 falls
-        back to the next surviving special column).  Returns where the
-        damaged file was moved, or ``None`` for in-memory stores.
+        back to the next surviving special column).  On disk the record's
+        bytes are copied under ``quarantine/`` and taken out of the log
+        (see :func:`_excise`), so neither a later recovery nor fsck counts
+        them again.  Returns where the bytes were copied, or ``None`` for
+        in-memory stores and lines with nothing left on disk.
         """
-        key = (namespace, position)
-        line = self._lines.pop(key, None)
-        if line is not None:
-            self.bytes_used -= line.nbytes
-        self._unsynced.discard(key)
+        name = _log_name(namespace)
+        entry = self._lines.get(name, {}).pop(position, None)
         self.corrupt_lines += 1
-        if self.directory is None:
+        if entry is None:
             return None
-        dest = codec.quarantine_file(
-            self._path(namespace, position), root=self.directory,
-            label=f"{namespace.replace('/', '_')}_{position}.bin")
-        # Tombstone the line: its index record no longer promises a
-        # payload, so a later fsck sees a consistent tree.
-        codec.append_journal_record(
-            self._index_path(),
-            {"ns": namespace, "pos": position, "dropped": True})
+        self.bytes_used -= entry.nbytes
+        if not isinstance(entry, _Slot):
+            return None
+        path = self._log_path(name)
+        dest = _excise(path, entry.offset, entry.length, root=self.directory)
+        if dest is not None:
+            self._unsynced.add(path)
         return dest
 
-    def _path(self, namespace: str, position: int) -> str:
+    def _log_path(self, name: str) -> str:
         assert self.directory is not None
-        safe = namespace.replace("/", "_")
-        return os.path.join(self.directory, safe, f"{position}.bin")
-
-    # ------------------------------------------------------------ recovery
-    def _index_path(self) -> str:
-        assert self.directory is not None
-        return os.path.join(self.directory, INDEX_NAME)
-
-    def _append_index(self, namespace: str, line: SavedLine) -> None:
-        record = {"ns": namespace, "pos": line.position, "axis": line.axis,
-                  "lo": line.lo, "count": int(line.H.size)}
-        codec.append_journal_record(self._index_path(), record)
+        return os.path.join(self.directory, name + LOG_SUFFIX)
 
     def _recover(self) -> None:
-        """Re-register lines a previous process flushed to this directory.
+        """Re-register the lines a previous process appended to the logs.
 
-        Entries whose payload file has since been released are skipped, as
-        are duplicates (a re-run appends a fresh index entry over the same
-        payload path).  A corrupt index record or payload artifact is
-        quarantined and counted, never fatal: a lost special line only
-        costs recomputation.  Budget accounting resumes where the dead
-        process left off; ``bytes_written`` stays 0 — recovery is not
-        flush traffic.
+        A damaged record is counted in :attr:`corrupt_lines` and excised
+        (quarantined, then voided or, as a torn tail, cut off so later
+        appends follow the last intact record), never fatal: a lost
+        special line only costs recomputation.  Of two records for one
+        position the first is kept.  Budget accounting resumes where the
+        dead process left off; ``bytes_written`` stays 0 — recovery is
+        not flush traffic.
         """
-        index = self._index_path()
-        if not os.path.exists(index):
+        try:
+            names = sorted(os.listdir(self.directory))
+        except FileNotFoundError:
             return
-        for lineno, raw in enumerate(
-                codec.read_text(index).splitlines(), start=1):
-            raw = raw.strip()
-            if not raw:
+        for filename in names:
+            if not filename.endswith(LOG_SUFFIX):
                 continue
-            try:
-                rec = codec.verify_record(raw, path=index, lineno=lineno)
-            except IntegrityError:
-                # The torn/corrupt record's payload (if any) is orphaned;
-                # fsck reports it, recovery just loses that one line.
+            name = filename[:-len(LOG_SUFFIX)]
+            path = self._log_path(name)
+            slots, damage = _scan(codec.read_bytes(path), path)
+            for offset, length, _ in damage:
                 self.corrupt_lines += 1
-                continue
-            if rec.get("released"):
-                # Namespace tombstone: everything saved so far is gone.
-                for key in [k for k in self._lines if k[0] == rec["ns"]]:
-                    dead = self._lines.pop(key)
-                    self.bytes_used -= dead.nbytes
-                    self.recovered_lines -= 1
-                continue
-            key = (rec["ns"], rec["pos"])
-            if rec.get("dropped"):
-                dead = self._lines.pop(key, None)
-                if dead is not None:
-                    self.bytes_used -= dead.nbytes
-                    self.recovered_lines -= 1
-                continue
-            path = self._path(*key)
-            if key in self._lines or not os.path.exists(path):
-                continue
-            try:
-                payload = np.frombuffer(
-                    codec.read_artifact(path, codec.KIND_SPECIAL_LINE),
-                    dtype=SCORE_DTYPE)
-                if payload.size != 2 * rec["count"]:
-                    raise IntegrityError(
-                        f"special line holds {payload.size} values, index "
-                        f"declares {2 * rec['count']}",
-                        kind=codec.KIND_SPECIAL_LINE, path=path)
-            except IntegrityError:
-                self.corrupt_lines += 1
-                codec.quarantine_file(path, root=self.directory)
-                continue
-            line = SavedLine(axis=rec["axis"], position=rec["pos"],
-                             lo=rec["lo"], H=payload[0::2].copy(),
-                             G=payload[1::2].copy())
-            self._lines[key] = line
-            self.bytes_used += line.nbytes
-            self.recovered_lines += 1
-        # The dead process may have left any of them in the page cache
-        # only: the next checkpoint's barrier must flush them too.
-        self._unsynced = set(self._lines)
+                _excise(path, offset, length, root=self.directory)
+            lines = self._lines.setdefault(name, {})
+            for slot in slots:
+                if slot.position not in lines:
+                    lines[slot.position] = slot
+                    self.bytes_used += slot.nbytes
+                    self.recovered_lines += 1
+            # The dead process may have left the log in the page cache
+            # only: the next checkpoint's barrier must flush it too.
+            self._unsynced.add(path)
+
+
+def check_log(path: str | os.PathLike, *, repair: bool = False
+              ) -> list[tuple[str, str]]:
+    """Verify a namespace log record by record (``repro fsck``).
+
+    Returns ``(where, detail)`` for each damaged region, ``where`` being
+    ``<path>@<offset>``.  ``repair=True`` moves a damaged log under
+    ``quarantine/`` and rewrites it with only its intact line records —
+    exactly the lines recovery would have honoured.
+    """
+    path = os.fspath(path)
+    data = codec.read_bytes(path)
+    slots, damage = _scan(data, path)
+    if damage and repair:
+        kept = b"".join(data[s.offset:s.offset + s.length] for s in slots)
+        codec.quarantine_file(path)
+        codec.atomic_write_bytes(path, kept)
+    return [(f"{path}@{offset}", detail) for offset, _, detail in damage]
+
+
+# ------------------------------------------------------------ log layout
+def _log_name(namespace: str) -> str:
+    return namespace.replace("/", "_")
+
+
+def _encode(line: SavedLine) -> bytes:
+    payload = np.empty(2 * line.H.size, dtype=SCORE_DTYPE)
+    payload[0::2] = line.H
+    payload[1::2] = line.G
+    head = _HEAD.pack(line.axis.encode("ascii"), line.position, line.lo,
+                      line.H.size)
+    return codec.frame(head + payload.tobytes(), codec.KIND_SPECIAL_LINE)
+
+
+def _decode(blob: bytes, where: str) -> _Record | None:
+    """Verify one record: what it holds (the values are a read-only view
+    of ``blob``), or ``None`` for a void record."""
+    _, body = codec.unframe(blob, expect_kind=codec.KIND_SPECIAL_LINE,
+                            path=where)
+    if len(body) >= _HEAD.size:
+        axis, position, lo, count = _HEAD.unpack_from(body)
+        if axis == _VOID_AXIS:
+            return None
+        if (axis in _AXES
+                and len(body) == _HEAD.size + SPECIAL_CELL_BYTES * count):
+            values = np.frombuffer(body, dtype=SCORE_DTYPE,
+                                   offset=_HEAD.size)
+            return (_AXES[axis], position, lo, count), values
+    raise IntegrityError("special line record has a malformed header",
+                         kind=codec.KIND_SPECIAL_LINE, path=where)
+
+
+def _record_at(data: bytes, offset: int, path: str
+               ) -> tuple[int, _Record | None]:
+    """Verify the record starting at ``offset``: its length and what
+    :func:`_decode` makes of it."""
+    size = codec.frame_size(data, offset)
+    if size is None or offset + size > len(data):
+        raise IntegrityError("no complete record starts here",
+                             kind=codec.KIND_SPECIAL_LINE,
+                             path=f"{path}@{offset}")
+    return size, _decode(data[offset:offset + size], f"{path}@{offset}")
+
+
+def _scan(data: bytes, path: str
+          ) -> tuple[list[_Slot], list[tuple[int, int, str]]]:
+    """Walk the bytes of a log: its intact line records and its damaged
+    regions.
+
+    A damaged region runs from a record that fails verification to the
+    next offset where an intact record (a line or a void) starts, found
+    by its frame magic — so one damaged record never hides the ones after
+    it — or to the end of the log (a torn tail).  Each region is
+    ``(offset, length, detail)``.
+    """
+    slots: list[_Slot] = []
+    damage: list[tuple[int, int, str]] = []
+    offset = 0
+    while offset < len(data):
+        try:
+            length, record = _record_at(data, offset, path)
+        except IntegrityError as exc:
+            end = _next_record(data, offset + 1, path)
+            damage.append((offset, end - offset, str(exc)))
+            offset = end
+            continue
+        if record is not None:
+            slots.append(_Slot(*record[0], offset, length))
+        offset += length
+    return slots, damage
+
+
+def _next_record(data: bytes, start: int, path: str) -> int:
+    """Offset of the first intact record at or after ``start`` (the end
+    of ``data`` when none is left)."""
+    at = data.find(codec.MAGIC, start)
+    while at != -1:
+        try:
+            _record_at(data, at, path)
+            return at
+        except IntegrityError:
+            at = data.find(codec.MAGIC, at + 1)
+    return len(data)
+
+
+def _excise(path: str, offset: int, length: int, *, root: str
+            ) -> str | None:
+    """Take a damaged region out of a log, preserving its bytes first.
+
+    The bytes still on disk are copied to
+    ``root/quarantine/<log name>@<offset>``.  A region reaching the end
+    of the log is cut off, so the next append follows the last intact
+    record; any other is overwritten in place by a void record of the
+    same length, so the records after it keep their offsets.  (A region too short to hold a void — only hand-edited logs
+    have one — stays as it is.)  Returns the quarantined copy, or
+    ``None`` when nothing of the region is left on disk.
+    """
+    try:
+        with open(path, "r+b") as handle:
+            size = handle.seek(0, os.SEEK_END)
+            if offset >= size:
+                return None
+            handle.seek(offset)
+            damaged = handle.read(length)
+            dest = codec.quarantine_bytes(
+                damaged, root=root,
+                label=f"{os.path.basename(path)}@{offset}")
+            if offset + len(damaged) >= size:
+                handle.truncate(offset)
+            elif len(damaged) >= _VOID_MIN:
+                handle.seek(offset)
+                handle.write(codec.frame(
+                    bytes(len(damaged) - _VOID_MIN + _HEAD.size),
+                    codec.KIND_SPECIAL_LINE))
+            return dest
+    except FileNotFoundError:
+        return None

@@ -217,9 +217,9 @@ class TestFsck:
     def test_fsck_detects_then_repairs(self, workdir, capsys):
         from repro.integrity import corrupt_file
 
-        lines = sorted((workdir / "sra" / "stage1_rows").glob("*.bin"))
-        assert lines
-        corrupt_file(lines[0], "bitflip", seed=1)
+        log = workdir / "sra" / "stage1_rows.lines"
+        assert log.stat().st_size
+        corrupt_file(log, "bitflip", seed=1)
         rc = main(["fsck", str(workdir)])
         assert rc == 1
         assert "bad-frame" in capsys.readouterr().out
@@ -227,9 +227,8 @@ class TestFsck:
         rc = main(["fsck", str(workdir), "--repair"])
         assert rc == 0
         assert "repaired" in capsys.readouterr().out
-        # The damaged line was preserved, not destroyed.
-        assert list((workdir / "sra" / "stage1_rows" /
-                     "quarantine").iterdir())
+        # The damaged log was preserved, not destroyed.
+        assert list((workdir / "sra" / "quarantine").iterdir())
 
         rc = main(["fsck", str(workdir), "--json"])
         assert rc == 0

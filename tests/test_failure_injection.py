@@ -28,7 +28,7 @@ from repro.core import (
 )
 from repro.core.checkpoint import load_checkpoint, save_checkpoint
 from repro.core.stage1 import ROWS_NS
-from repro.integrity import corrupt_file, tamper_special_line
+from repro.integrity import corrupt_file, fsck_tree, tamper_special_line
 from repro.service import (JobQueue, JobSpec, ResultCache, JournalReplay,
                            replay_journal)
 from repro.storage.sra import SavedLine, SpecialLineStore
@@ -111,7 +111,7 @@ class TestStorageFaults:
     def test_disk_file_deletion_detected(self, tmp_path, rng):
         store = SpecialLineStore(10**6, directory=tmp_path)
         store.save("x", _saved_line())
-        (tmp_path / "x" / "8.bin").unlink()
+        (tmp_path / "x.lines").unlink()
         with pytest.raises(IntegrityError) as excinfo:
             store.load("x", 8)
         assert excinfo.value.kind == "special-line"
@@ -230,7 +230,7 @@ class TestChaosMatrix:
     def test_sra_line(self, tmp_path, fault):
         store = SpecialLineStore(10**6, directory=tmp_path)
         store.save("x", _saved_line())
-        _strike(tmp_path / "x" / "8.bin", fault)
+        _strike(tmp_path / "x.lines", fault)
         with pytest.raises(IntegrityError):
             store.load("x", 8)
         # Degrade: quarantine deregisters the line and frees its budget;
@@ -239,6 +239,13 @@ class TestChaosMatrix:
         assert store.positions("x") == []
         assert store.corrupt_lines == 1
         assert store.bytes_used == 0
+        # The damaged bytes left the log (preserved under quarantine/):
+        # neither a later recovery nor fsck counts them again.
+        if fault != "missing":
+            assert list((tmp_path / "quarantine").iterdir())
+        assert fsck_tree(tmp_path).clean
+        again = SpecialLineStore(10**6, directory=tmp_path, recover=True)
+        assert (again.recovered_lines, again.corrupt_lines) == (0, 0)
 
     def test_checkpoint(self, tmp_path, fault):
         path = tmp_path / "stage1.ckpt"
@@ -310,7 +317,8 @@ def _wait_port(port_file, proc, timeout=60.0) -> int:
         if proc.poll() is not None:  # pragma: no cover
             pytest.fail(f"serve process died (rc={proc.returncode})")
         if os.path.exists(port_file):
-            text = open(port_file, encoding="utf-8").read().strip()
+            with open(port_file, encoding="utf-8") as handle:
+                text = handle.read().strip()
             if text:
                 return int(text)
         time.sleep(0.02)

@@ -5,12 +5,14 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
 
 from repro.core import CUDAlign, run_stage1, small_config
 from repro.core.checkpoint import load_checkpoint, save_checkpoint
+from repro.core.stage1 import ROWS_NS
 from repro.errors import ConfigError, IntegrityError, StorageError
 from repro.integrity import (
     FaultPlan,
@@ -20,6 +22,7 @@ from repro.integrity import (
     corrupt_file,
     fsck_tree,
     inject,
+    tamper_special_line,
 )
 from repro.service import (JobQueue, JobSpec, ResultCache, execute_job,
                            prepare_group, replay_journal)
@@ -27,9 +30,9 @@ from repro.storage.sra import SavedLine, SpecialLineStore
 
 from tests.conftest import make_pair
 
-ALL_KINDS = (codec.KIND_SPECIAL_LINE, codec.KIND_SRA_INDEX,
-             codec.KIND_CHECKPOINT, codec.KIND_CACHE_ENTRY,
-             codec.KIND_JOURNAL_RECORD, codec.KIND_BINARY_ALIGNMENT)
+ALL_KINDS = (codec.KIND_SPECIAL_LINE, codec.KIND_CHECKPOINT,
+             codec.KIND_CACHE_ENTRY, codec.KIND_JOURNAL_RECORD,
+             codec.KIND_BINARY_ALIGNMENT)
 
 
 class TestBinaryFrame:
@@ -228,6 +231,17 @@ class TestFaultPlan:
             pass
         assert codec.read_bytes(path) == b"clean"
 
+    def test_tamper_needs_an_in_memory_store(self, tmp_path):
+        """A disk store holds no arrays: its lines are damaged through
+        their log instead."""
+        store = SpecialLineStore(10**6, directory=tmp_path)
+        store.save("x", SavedLine(axis="row", position=8, lo=0,
+                                  H=np.arange(6, dtype=np.int32),
+                                  G=np.zeros(6, dtype=np.int32)))
+        with pytest.raises(ConfigError, match="in-memory"):
+            tamper_special_line(store, "x", 8)
+        np.testing.assert_array_equal(store.load("x", 8).H, np.arange(6))
+
 
 class TestJournalRecovery:
     def _submit_two(self, journal):
@@ -299,7 +313,7 @@ class TestDegradeDontDie:
         assert clean.metrics.get("integrity.corruption_detected", 0) == 0
 
         plan = FaultPlan(
-            FaultSpec("*/sra/stage1_rows/*.bin", "bitflip", op="read"),
+            FaultSpec("*/sra/stage1_rows.lines", "bitflip", op="read"),
             seed=11)
         with inject(plan):
             damaged = CUDAlign(config, workdir=tmp_path / "hurt").run(s0, s1)
@@ -313,6 +327,41 @@ class TestDegradeDontDie:
         # The damaged line was preserved for post-mortem.
         quarantine = tmp_path / "hurt" / "sra" / "quarantine"
         assert list(quarantine.iterdir())
+
+    def test_torn_final_append_resumes_to_same_bytes(self, pair, tmp_path):
+        """A crash tearing Stage 1's last special-row append: the resume
+        recovers every earlier row from the log, counts the torn one, cuts
+        it off, re-flushes it — and aligns to the clean run's bytes."""
+        s0, s1, config = pair
+        clean = _reference_run(s0, s1, config, tmp_path, "clean")
+        rows = clean.stage1.special_rows
+        assert len(rows) >= 2
+
+        workdir = tmp_path / "torn"
+        plan = FaultPlan(FaultSpec("*.lines", "torn", op="append",
+                                   skip=len(rows) - 1))
+        with inject(plan), pytest.raises(InjectedFault):
+            CUDAlign(config, workdir=workdir).run(s0, s1)
+        assert [(i.op, i.fault) for i in plan.injections] == [
+            ("append", "torn")]
+        assert plan.injections[0].path.endswith("stage1_rows.lines")
+
+        # What recovery finds, probed on a copy of the dead run's SRA.
+        probe = tmp_path / "probe"
+        shutil.copytree(workdir / "sra", probe)
+        store = SpecialLineStore(config.sra_bytes, directory=probe,
+                                 recover=True)
+        assert store.positions(ROWS_NS) == list(rows[:-1])
+        assert store.recovered_lines == len(rows) - 1
+        assert store.corrupt_lines == 1
+        assert list((probe / "quarantine").iterdir())
+
+        resumed = CUDAlign(config, workdir=workdir).run(s0, s1)
+        assert resumed.stage1.resumed_from_row > 0
+        assert resumed.metrics["integrity.corruption_detected"] == 1
+        assert resumed.stage1.special_rows == rows
+        assert resumed.binary.encode() == clean.binary.encode()
+        assert fsck_tree(workdir).clean
 
     def test_corrupt_checkpoint_falls_back_to_fresh_sweep(self, pair,
                                                           tmp_path):
@@ -367,16 +416,16 @@ class TestFsck:
     def test_clean_tree_verifies_everything(self, tmp_path):
         report = fsck_tree(_build_root(tmp_path))
         assert report.clean
-        # 3 line files + index + checkpoint + 2 cache entries + journal.
-        assert report.scanned == 8
-        assert report.verified == 8
+        # The SRA log + checkpoint + 2 cache entries + journal.
+        assert report.scanned == 5
+        assert report.verified == 5
 
     def test_detects_every_corruption_class(self, tmp_path):
         root = _build_root(tmp_path)
-        corrupt_file(root / "sra" / "stage1_rows" / "8.bin", "bitflip")
+        log = root / "sra" / "stage1_rows.lines"
+        corrupt_file(log, "bitflip")
         corrupt_file(root / "stage1.ckpt", "truncate")
         corrupt_file(root / "cache" / ("a" * 16 + ".json"), "truncate")
-        corrupt_file(root / "sra" / "stage1_rows" / "16.bin", "delete")
         journal = root / "journal.jsonl"
         journal.write_text(
             journal.read_text().replace('"succeeded"', '"succeedeX"'))
@@ -384,19 +433,23 @@ class TestFsck:
         report = fsck_tree(root)
         assert not report.clean
         problems = {f.problem for f in report.findings}
-        assert problems == {"bad-frame", "bad-envelope", "corrupt-record",
-                            "missing-payload"}
+        assert problems == {"bad-frame", "bad-envelope", "corrupt-record"}
         # Truncating a framed checkpoint at 50% decapitates the magic-or-
         # not sniff only if the cut lands inside the header; either way it
         # must be flagged, as bad-frame or not-framed.
         flagged = {f.path for f in report.findings}
         assert str(root / "stage1.ckpt") in flagged
+        # The flipped bit is flagged at the one log record it damaged.
+        damaged = [f for f in report.findings
+                   if f.path.startswith(f"{log}@")]
+        assert len(damaged) == 1
+        assert damaged[0].problem == "bad-frame"
+        assert damaged[0].kind == codec.KIND_SPECIAL_LINE
 
     def test_repair_converges_to_clean(self, tmp_path):
         root = _build_root(tmp_path)
-        corrupt_file(root / "sra" / "stage1_rows" / "8.bin", "bitflip")
+        corrupt_file(root / "sra" / "stage1_rows.lines", "bitflip")
         corrupt_file(root / "cache" / ("a" * 16 + ".json"), "garbage")
-        corrupt_file(root / "sra" / "stage1_rows" / "16.bin", "delete")
         journal = root / "journal.jsonl"
         journal.write_text(
             journal.read_text().replace('"succeeded"', '"succeedeX"'))
@@ -406,45 +459,58 @@ class TestFsck:
         rescan = fsck_tree(root)
         assert rescan.clean, [f.to_json() for f in rescan.findings]
         # Nothing was deleted: the damage is preserved under quarantine.
-        assert list((root / "sra" / "stage1_rows" / "quarantine").iterdir())
+        assert list((root / "sra" / "quarantine").iterdir())
         assert list((root / "cache" / "quarantine").iterdir())
         # The journal kept its valid records.
         replay = replay_journal(root / "journal.jsonl")
         assert replay.corrupt == 0
         assert len(replay.records) == 1
+        # So did the log: the two lines the bit missed recover intact.
+        store = SpecialLineStore(10**6, directory=root / "sra", recover=True)
+        assert store.recovered_lines == 2
+        assert store.corrupt_lines == 0
+        for position in store.positions("stage1/rows"):
+            np.testing.assert_array_equal(
+                store.load("stage1/rows", position).H, np.arange(6))
 
 
 # ------------------------------------------------------------- durability
 class _FsyncSpy:
-    """Records the file behind every ``os.fsync`` call, in call order.
+    """Records the file behind every ``os.fsync`` call, in call order,
+    with the file's size at that moment.
 
-    At each fsync of a checkpoint it also snapshots the special-line
-    files then on disk under ``sra_dir``: the lines that checkpoint
+    At each fsync of a checkpoint it also snapshots the SRA logs then on
+    disk under ``sra_dir``, with their sizes: the lines that checkpoint
     resumes from.
     """
 
     def __init__(self, monkeypatch, sra_dir):
-        self.paths: list[str] = []
-        self.checkpoints: list[tuple[int, set[str]]] = []
+        self.fsyncs: list[tuple[str, int]] = []
+        self.checkpoints: list[tuple[int, dict[str, int]]] = []
         self.sra_dir = sra_dir
         real = os.fsync
 
         def spy(fd):
             path = os.readlink(f"/proc/self/fd/{fd}")
             if path.endswith(".ckpt.tmp"):
-                self.checkpoints.append((len(self.paths), self.lines()))
-            self.paths.append(path)
+                self.checkpoints.append((len(self.fsyncs), self.logs()))
+            self.fsyncs.append((path, os.fstat(fd).st_size))
             real(fd)
 
         monkeypatch.setattr(os, "fsync", spy)
 
-    def lines(self) -> set[str]:
-        return {os.path.realpath(os.path.join(top, name))
-                for top, _, names in os.walk(self.sra_dir)
-                for name in names if name.endswith(".bin")}
+    @property
+    def paths(self) -> list[str]:
+        return [path for path, _ in self.fsyncs]
 
-    def line_fsyncs(self) -> list[str]:
-        return [p for p in self.paths if p.endswith(".bin")]
+    def logs(self) -> dict[str, int]:
+        return {os.path.realpath(os.path.join(top, name)):
+                os.path.getsize(os.path.join(top, name))
+                for top, _, names in os.walk(self.sra_dir)
+                for name in names if name.endswith(".lines")}
+
+    def log_fsyncs(self) -> list[tuple[str, int]]:
+        return [(p, size) for p, size in self.fsyncs if p.endswith(".lines")]
 
 
 class _Killed(RuntimeError):
@@ -482,55 +548,70 @@ class TestDurabilityContract:
         spy = _FsyncSpy(monkeypatch, tmp_path / "sra")
         self._stage1(pair, tmp_path)
         assert spy.checkpoints and spy.checkpoints[-1][1]
-        for before, lines in spy.checkpoints:
-            assert lines <= set(spy.paths[:before])
-        # Exactly those: each line once, none saved after the last
-        # checkpoint.
-        synced = spy.line_fsyncs()
-        assert len(synced) == len(set(synced))
-        assert set(synced) == spy.checkpoints[-1][1]
+        for before, logs in spy.checkpoints:
+            # Each log was durable, up to its length, before the
+            # checkpoint's own fsync.
+            synced = dict(spy.fsyncs[:before])
+            for log, size in logs.items():
+                assert synced.get(log) == size
+        # Exactly those: one log fsync per checkpoint that follows new
+        # records, none for records saved after the last checkpoint.
+        (log,) = spy.checkpoints[-1][1]
+        at_checkpoints = [logs.get(log, 0) for _, logs in spy.checkpoints]
+        grown = [size for prev, size in zip([0] + at_checkpoints,
+                                            at_checkpoints) if size > prev]
+        assert spy.log_fsyncs() == [(log, size) for size in grown]
 
     def test_recovered_lines_durable_before_next_checkpoint(
             self, pair, tmp_path, monkeypatch):
+        s0, s1, config = pair
+        dead = SpecialLineStore(config.sra_bytes, directory=tmp_path / "sra")
         with pytest.raises(_Killed):
-            self._stage1(pair, tmp_path, progress=_kill_halfway)
+            run_stage1(s0, s1, config, dead,
+                       checkpoint_path=str(tmp_path / "stage1.ckpt"),
+                       checkpoint_every_rows=16, progress=_kill_halfway)
         spy = _FsyncSpy(monkeypatch, tmp_path / "sra")
-        recovered = spy.lines()
+        recovered = spy.logs()
         sra, resumed = self._stage1(pair, tmp_path, recover=True)
         assert resumed.resumed_from_row > 0
-        assert sra.recovered_lines == len(recovered) > 0
+        assert sra.recovered_lines == len(dead.positions(ROWS_NS)) > 0
         assert spy.checkpoints
-        assert recovered <= set(spy.paths[:spy.checkpoints[0][0]])
+        synced = dict(spy.fsyncs[:spy.checkpoints[0][0]])
+        assert recovered
+        for log, size in recovered.items():
+            assert synced.get(log, -1) >= size
 
     def test_pair_run_without_checkpoint_fsyncs_nothing(self, pair, tmp_path,
                                                         monkeypatch):
         s0, s1, config = pair
         spy = _FsyncSpy(monkeypatch, tmp_path / "wd" / "sra")
         CUDAlign(config, workdir=tmp_path / "wd").run(s0, s1)
-        assert spy.lines()
-        assert spy.paths == []
+        assert spy.logs()
+        assert spy.fsyncs == []
 
     def test_grouped_job_fsyncs_nothing(self, tmp_path, monkeypatch):
         specs = [JobSpec(catalog="162Kx172K", scale=8192, seed=seed,
                          block_rows=32) for seed in (0, 1)]
         spy = _FsyncSpy(monkeypatch, tmp_path)
-        sweepers, _ = prepare_group(specs)
+        sweepers, _, pairs = prepare_group(specs)
         for spec in specs:
             execute_job(spec, str(tmp_path / spec.job_id), 1,
-                        stage1_sweeper=sweepers[spec.job_id])
-        assert spy.lines()
-        assert spy.paths == []
+                        stage1_sweeper=sweepers[spec.job_id],
+                        sequences=pairs[spec.job_id])
+        assert spy.logs()
+        assert spy.fsyncs == []
 
     def test_sync_skips_a_vanished_line(self, tmp_path, monkeypatch):
         store = SpecialLineStore(10**6, directory=tmp_path)
-        for pos in (8, 16):
-            store.save("x", SavedLine(axis="row", position=pos, lo=0,
-                                      H=np.arange(6, dtype=np.int32),
-                                      G=np.zeros(6, dtype=np.int32)))
-        (tmp_path / "x" / "8.bin").unlink()
+        for namespace in ("x", "y"):
+            store.save(namespace, SavedLine(
+                axis="row", position=8, lo=0,
+                H=np.arange(6, dtype=np.int32),
+                G=np.zeros(6, dtype=np.int32)))
+        (tmp_path / "x.lines").unlink()
         spy = _FsyncSpy(monkeypatch, tmp_path)
         store.sync()        # a lost line is caught at load, not here
-        assert spy.paths == [os.path.realpath(tmp_path / "x" / "16.bin")]
+        assert spy.paths == [os.path.realpath(tmp_path / "y.lines")]
         store.sync()
         assert len(spy.paths) == 1
 

@@ -16,6 +16,7 @@ import pytest
 from repro.align.scoring import PAPER_SCHEME, ScoringScheme
 from repro.errors import ConfigError
 from repro.sequences import homologous_pair, write_fasta
+from repro.sequences.catalog import CatalogEntry
 from repro.service import (
     AlignmentService,
     FailureInjector,
@@ -363,12 +364,63 @@ class TestWorker:
             pool.shutdown()
         assert exitcode == -signal.SIGTERM
 
+    def test_group_replay_builds_each_pair_once(self, tmp_path,
+                                                monkeypatch):
+        """The presweep builds each member's catalog pair and hands it to
+        the member's pipeline: one ``CatalogEntry.build`` per job."""
+        build = CatalogEntry.build
+        built: list[int] = []
+
+        def counting_build(entry, *args, **kwargs):
+            built.append(kwargs.get("seed"))
+            return build(entry, *args, **kwargs)
+
+        monkeypatch.setattr(CatalogEntry, "build", counting_build)
+        messages = _replay_group(tmp_path, _small_group(), monkeypatch)
+        assert [m["ok"] for m in messages if m.get("job_done")] == [True] * 2
+        assert sorted(built) == [0, 1]
+
+    def test_grouped_job_workdir_holds_one_log(self, tmp_path, monkeypatch):
+        """A finished grouped 384 x 384 job leaves its manifest and one
+        append-only SRA log: no file per special line, no empty ``sca/``."""
+        specs = _small_group()
+        _replay_group(tmp_path, specs, monkeypatch)
+        for spec in specs:
+            workdir = tmp_path / spec.job_id
+            entries = {str(path.relative_to(workdir))
+                       for path in workdir.rglob("*")}
+            assert entries == {"manifest.json", "sra",
+                               os.path.join("sra", "stage1_rows.lines")}
+
     def test_failure_injector_fires_only_past_row(self):
         injector = FailureInjector(m=1000, fail_at_row=500)
         injector.on_stage_progress("stage1", 0.25)   # row 250: fine
         injector.on_stage_progress("stage2", 1.0)    # other stages: fine
         with pytest.raises(InjectedFailure):
             injector.on_stage_progress("stage1", 0.6)
+
+
+def _small_group() -> list[JobSpec]:
+    return [JobSpec(job_id=f"small-{seed}", catalog="162Kx172K", scale=8192,
+                    seed=seed) for seed in (0, 1)]
+
+
+def _replay_group(root, specs, monkeypatch) -> list[dict]:
+    """Run a group child's body in-process; returns what it reported."""
+    monkeypatch.setattr(worker, "_restore_signals", lambda: None)
+    results, send = multiprocessing.Pipe(duplex=False)
+    worker._group_main(send, [
+        {"spec": spec.to_json(), "workdir": str(root / spec.job_id),
+         "attempt": 1} for spec in specs])
+    messages = []
+    while True:
+        try:
+            messages.append(results.recv())
+        except EOFError:        # the body closed its end: all reported
+            break
+    results.close()
+    assert messages[-1] == {"ok": True, "group": True}
+    return messages
 
 
 #: Runs in a fresh interpreter (pytest has long since imported

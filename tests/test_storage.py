@@ -17,6 +17,7 @@ from repro.storage import (
     flush_interval_blocks,
     special_row_positions,
 )
+from repro.storage.sra import check_log
 
 
 def line(pos=8, size=10, axis="row", lo=0):
@@ -86,9 +87,54 @@ class TestSpecialLineStore:
         freed = store.release("a")
         assert freed == line().nbytes
         assert store.bytes_used == 0
+        # The namespace's log goes with it: no file is left behind.
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
         store.save("a", line(pos=2))  # fits again
         # lifetime traffic keeps counting
         assert store.bytes_written == 2 * line().nbytes
+
+    def test_disk_store_keeps_one_log_per_namespace(self, tmp_path):
+        store = SpecialLineStore(10**6, directory=tmp_path / "sca")
+        for p in (8, 16):
+            store.save("stage2/band0", line(pos=p, axis="col", lo=4))
+        store.save("stage2/band1", line(pos=8, axis="col"))
+        assert sorted(p.name for p in (tmp_path / "sca").iterdir()) == [
+            "stage2_band0.lines", "stage2_band1.lines"]
+        loaded = store.load("stage2/band0", 16)
+        assert (loaded.axis, loaded.position, loaded.lo) == ("col", 16, 4)
+        np.testing.assert_array_equal(loaded.G, line().G)
+
+    def test_fresh_store_starts_its_logs_afresh(self, tmp_path):
+        """A store not recovering never appends to a dead run's log."""
+        SpecialLineStore(10**6, directory=tmp_path).save("a", line(pos=1))
+        store = SpecialLineStore(10**6, directory=tmp_path)
+        store.save("a", line(pos=2))
+        again = SpecialLineStore(10**6, directory=tmp_path, recover=True)
+        assert again.positions("a") == [2]
+
+    @pytest.mark.parametrize("target", ["magic", "length", "payload",
+                                        "last byte"])
+    def test_one_flipped_bit_costs_one_line(self, tmp_path, target):
+        """Damage to one record, even to its length field, never hides the
+        records after it; recovery excises it once and for all."""
+        store = SpecialLineStore(10**6, directory=tmp_path)
+        for p in (8, 16, 24):
+            store.save("rows", line(pos=p))
+        log = tmp_path / "rows.lines"
+        data = bytearray(log.read_bytes())
+        record = len(data) // 3
+        at = {"magic": 0, "length": record + 8, "payload": 2 * record - 20,
+              "last byte": len(data) - 1}[target]
+        data[at] ^= 0x10
+        log.write_bytes(bytes(data))
+        assert len(check_log(log)) == 1
+        first = SpecialLineStore(10**6, directory=tmp_path, recover=True)
+        assert (first.recovered_lines, first.corrupt_lines) == (2, 1)
+        again = SpecialLineStore(10**6, directory=tmp_path, recover=True)
+        assert (again.recovered_lines, again.corrupt_lines) == (2, 0)
+        assert check_log(log) == []
+        for p in again.positions("rows"):
+            np.testing.assert_array_equal(again.load("rows", p).H, line().H)
 
     def test_duplicate_rejected(self):
         store = SpecialLineStore(10**6)
