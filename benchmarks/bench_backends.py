@@ -3,13 +3,11 @@
 The paper's whole claim is kernel throughput in linear space, so the
 repo keeps an honest ledger of it: this script times a fixed set of
 sweep kernels over Stage-1-shaped local sweeps and writes
-``BENCH_backends.json``.  Workloads come in two shapes, each with its
-own pair of contenders:
+``BENCH_backends.json``.  Workloads come in two shapes:
 
-* ``MxN`` is one pair: ``rowscan`` (the serial
-  :class:`~repro.align.rowscan.RowSweeper`) against ``wavefront`` (the
-  :class:`~repro.parallel.ParallelRowSweeper` tile grid on a
-  ``--workers`` process pool).  Reported as MCUPS.
+* ``MxN`` is one pair swept by ``rowscan`` (the serial
+  :class:`~repro.align.rowscan.RowSweeper`, the pipeline's only sweep).
+  Reported as MCUPS.
 * ``KxMxN`` is K independent small pairs: a ``rowscan`` loop (build and
   run one sweeper per pair) against ``batched`` (the same K lanes fused
   through :func:`~repro.align.batched.sweep_batched`).  Reported as
@@ -29,11 +27,11 @@ Honesty rules, enforced:
   asking for any other name is an error, and :func:`validate_ledger`
   rejects any ledger mentioning one (CI runs it against the committed
   trajectory file, so schema or kernel-set drift fails the build);
-* every kernel's sweep is checked bit-identical to ``rowscan`` (best
+* every ``batched`` lane is checked bit-identical to ``rowscan`` (best
   score, best cell and final row) before its timing is reported;
 * timings are min-of-``--repeats`` wall clock on this host, whatever
   they turn out to be — the ledger records losses too, along with the
-  host's ``cpu_count`` so a pool measured on too few cores is visible.
+  host's ``cpu_count`` and its Python and NumPy versions.
 
 Usage::
 
@@ -61,10 +59,9 @@ import numpy as np
 from repro.align.batched import sweep_batched
 from repro.align.rowscan import RowSweeper
 from repro.errors import ConfigError
-from repro.parallel import ParallelRowSweeper, WavefrontExecutor
 from repro.sequences.synth import random_dna
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 OUT_PATH = BENCH_DIR / "out" / "BENCH_backends.json"
 TRAJECTORY_PATH = BENCH_DIR / "trajectory" / "BENCH_backends.json"
 
@@ -74,7 +71,7 @@ QUICK_WORKLOADS = ("256x256", "8x64x64")
 
 #: Contenders per workload shape; :data:`KERNELS` is every name a ledger
 #: may mention.
-SINGLE_KERNELS = ("rowscan", "wavefront")
+SINGLE_KERNELS = ("rowscan",)
 PAIRS_KERNELS = ("rowscan", "batched")
 KERNELS = tuple(sorted(set(SINGLE_KERNELS) | set(PAIRS_KERNELS)))
 
@@ -92,20 +89,12 @@ def _parse_workload(spec: str) -> tuple[int, ...]:
     return dims
 
 
-def _sweep_once(name, codes0, codes1, scheme, executor=None):
-    if name == "wavefront":
-        sweep = ParallelRowSweeper(codes0, codes1, scheme, executor=executor,
-                                   local=True, track_best=True)
-    else:
-        sweep = RowSweeper(codes0, codes1, scheme,
-                           local=True, track_best=True)
+def _sweep_once(codes0, codes1, scheme):
+    sweep = RowSweeper(codes0, codes1, scheme, local=True, track_best=True)
     start = time.perf_counter()
     sweep.run()
     seconds = time.perf_counter() - start
-    result = _lane_result(sweep)
-    if name == "wavefront":
-        sweep.close()
-    return seconds, result
+    return seconds, _lane_result(sweep)
 
 
 def _pairs(k: int, m: int, n: int, seed: int) -> list[tuple]:
@@ -184,7 +173,7 @@ def _speedups(entry: dict) -> None:
 
 
 def measure_workload(spec: str, kernels: list[str], scheme, *,
-                     workers: int, repeats: int, seed: int = 0) -> dict:
+                     repeats: int, seed: int = 0) -> dict:
     """Time the contenders on one workload; returns its ledger entry."""
     dims = _parse_workload(spec)
     if len(dims) == 3:
@@ -195,39 +184,23 @@ def measure_workload(spec: str, kernels: list[str], scheme, *,
     codes0 = random_dna(m, rng, "A").codes
     codes1 = random_dna(n, rng, "B").codes
     entry: dict = {"kind": "single", "cells": m * n, "backends": {}}
-    reference = None
-    executor = None
-    try:
-        for name in kernels:
-            if name not in SINGLE_KERNELS:
-                continue
-            if name == "wavefront" and executor is None:
-                executor = WavefrontExecutor(workers)
-            best = None
-            for _ in range(max(1, repeats)):
-                seconds, result = _sweep_once(name, codes0, codes1, scheme,
-                                              executor=executor)
-                best = seconds if best is None else min(best, seconds)
-            if reference is None:
-                reference = result
-                entry["best_score"] = result[0]
-            else:
-                assert result[0] == reference[0], (name, spec, "best score")
-                assert result[1] == reference[1], (name, spec, "best pos")
-                np.testing.assert_array_equal(result[2], reference[2],
-                                              err_msg=f"{name} {spec} H row")
-            entry["backends"][name] = {
-                "seconds": best,
-                "mcups": (m * n) / best / 1e6,
-            }
-    finally:
-        if executor is not None:
-            executor.close()
+    for name in kernels:
+        if name not in SINGLE_KERNELS:
+            continue
+        best = None
+        for _ in range(max(1, repeats)):
+            seconds, result = _sweep_once(codes0, codes1, scheme)
+            best = seconds if best is None else min(best, seconds)
+        entry["best_score"] = result[0]
+        entry["backends"][name] = {
+            "seconds": best,
+            "mcups": (m * n) / best / 1e6,
+        }
     _speedups(entry)
     return entry
 
 
-def build_ledger(workloads, backends, *, workers: int, repeats: int) -> dict:
+def build_ledger(workloads, backends, *, repeats: int) -> dict:
     from repro.align.scoring import PAPER_SCHEME
     unknown = [b for b in backends if b not in KERNELS]
     if unknown:
@@ -240,7 +213,6 @@ def build_ledger(workloads, backends, *, workers: int, repeats: int) -> dict:
         "kind": "BENCH_backends",
         "kernels": list(KERNELS),
         "cpu_count": os.cpu_count(),
-        "wavefront_workers": workers,
         "python": platform.python_version(),
         "numpy": np.__version__,
         "workloads": {},
@@ -248,7 +220,7 @@ def build_ledger(workloads, backends, *, workers: int, repeats: int) -> dict:
     }
     for spec in workloads:
         entry = measure_workload(spec, list(backends), PAPER_SCHEME,
-                                 workers=workers, repeats=repeats)
+                                 repeats=repeats)
         ledger["workloads"][spec] = entry
         fastest = min(entry["backends"],
                       key=lambda b: entry["backends"][b]["seconds"])
@@ -307,8 +279,7 @@ def validate_ledger(ledger: dict) -> None:
 
 
 def render(ledger: dict) -> str:
-    lines = [f"sweep kernel MCUPS (cpu_count={ledger['cpu_count']}, "
-             f"wavefront workers={ledger['wavefront_workers']})"]
+    lines = [f"sweep kernel MCUPS (cpu_count={ledger['cpu_count']})"]
     for spec, entry in ledger["workloads"].items():
         if entry.get("kind") == "pairs":
             lines.append(f"  {spec} ({entry['pairs']} pairs, "
@@ -334,8 +305,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workloads", nargs="+", default=None,
                         metavar="MxN", help="matrix sizes: 2048x2048 (one "
                              "pair) or 64x256x256 (K small pairs)")
-    parser.add_argument("--workers", type=int, default=2,
-                        help="wavefront pool size")
     parser.add_argument("--repeats", type=int, default=3,
                         help="timing repeats (min wall clock wins)")
     parser.add_argument("--quick", action="store_true",
@@ -354,8 +323,7 @@ def main(argv=None) -> int:
     else:
         workloads = args.workloads or list(DEFAULT_WORKLOADS)
         repeats = args.repeats
-    ledger = build_ledger(workloads, backends,
-                          workers=args.workers, repeats=repeats)
+    ledger = build_ledger(workloads, backends, repeats=repeats)
     validate_ledger(ledger)
 
     out_path = Path(args.out) if args.out else OUT_PATH

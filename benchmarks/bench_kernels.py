@@ -9,9 +9,7 @@ MCUPS per kernel is printed for the throughput picture.
 
 from __future__ import annotations
 
-import json
 import os
-import time
 
 import numpy as np
 import pytest
@@ -23,11 +21,10 @@ from repro.align.rowscan import RowSweeper
 from repro.align.scoring import PAPER_SCHEME
 from repro.align.tiled import tiled_local_sweep
 from repro.baselines import scan_database
-from repro.parallel import WavefrontExecutor, make_sweeper
 from repro.sequences.synth import homologous_pair, random_dna
 from repro.telemetry import MetricsRegistry
 
-from benchmarks.conftest import OUT_DIR, emit
+from benchmarks.conftest import emit
 
 RNG = np.random.default_rng(123)
 S0, S1 = homologous_pair(2048, RNG)
@@ -101,57 +98,6 @@ def test_kernel_dbscan(benchmark):
         return scan_database(query, db, PAPER_SCHEME).best.score
     result = benchmark.pedantic(run, rounds=3, iterations=1)
     record(benchmark, "database scan (batch)", 256 * 256 * 64)
-
-
-def test_kernel_wavefront(benchmark):
-    """Wavefront tile-grid sweep: MCUPS at 1/2/4/8 workers vs serial.
-
-    Writes ``benchmarks/out/BENCH_wavefront.json`` with honest wall-clock
-    numbers plus the host's cpu_count — on a single-core container every
-    pool size pays IPC overhead without gaining concurrency, so speedups
-    there are expected to sit below 1.0.
-    """
-    cells = len(S0) * len(S1)
-    start = time.perf_counter()
-    serial_best = RowSweeper(S0.codes, S1.codes, PAPER_SCHEME, local=True,
-                             track_best=True).run().best
-    serial_seconds = time.perf_counter() - start
-
-    def pooled(workers: int) -> tuple[int, float]:
-        start = time.perf_counter()
-        with WavefrontExecutor(workers) as executor:
-            sweep = make_sweeper(S0.codes, S1.codes, PAPER_SCHEME,
-                                 executor=executor, local=True,
-                                 track_best=True)
-            sweep.run()
-            best = sweep.best
-        return best, time.perf_counter() - start
-
-    ladder: dict[str, dict[str, float]] = {}
-    for workers in (1, 2, 4, 8):
-        best, seconds = pooled(workers)
-        assert best == serial_best  # the bit-identity contract
-        ladder[str(workers)] = {
-            "seconds": seconds,
-            "mcups": cells / seconds / 1e6,
-            "speedup_vs_serial": serial_seconds / seconds,
-        }
-
-    benchmark.pedantic(lambda: pooled(2)[0], rounds=1, iterations=1)
-    record(benchmark, "wavefront sweep, 2 workers", cells)
-
-    OUT_DIR.mkdir(exist_ok=True)
-    payload = {
-        "kernel": "wavefront",
-        "matrix": [len(S0), len(S1)],
-        "cells": cells,
-        "cpu_count": os.cpu_count(),
-        "serial": {"seconds": serial_seconds,
-                   "mcups": cells / serial_seconds / 1e6},
-        "workers": ladder,
-    }
-    (OUT_DIR / "BENCH_wavefront.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def test_kernel_report(benchmark):

@@ -3,7 +3,7 @@
 These are deliberately written as plain doubly-nested loops translating the
 paper's Equations 1-3 verbatim.  They are quadratic in time *and* space and
 only used as ground truth in the test suite: every optimized kernel
-(`rowscan`, `wavefront`, `myers_miller`, the pipeline itself) is
+(`rowscan`, `myers_miller`, the pipeline itself) is
 cross-checked against them on small inputs.
 
 Boundary gap states

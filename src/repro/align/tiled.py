@@ -39,13 +39,6 @@ class TileEdges:
     ``top_*`` cover the tile's columns *including* the left-corner column
     (length w + 1); ``left_*`` cover the tile's rows (length h), i.e. the
     H/E values on the boundary column for each interior row.
-
-    ``left_X`` optionally overrides the in-row scan's H-source seed at
-    the boundary column (default: ``left_H``).  A sweep's own column-0
-    boundary needs it: the monolithic kernel seeds the scan with the
-    *unclamped* ``F(i, 0)`` while exposing ``H(i, 0) = max(F, -inf)`` to
-    the diagonal term, and once a forced boundary pushes ``F`` below the
-    -inf floor those two values differ.
     """
 
     top_H: np.ndarray
@@ -53,7 +46,6 @@ class TileEdges:
     top_F: np.ndarray
     left_H: np.ndarray
     left_E: np.ndarray
-    left_X: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -68,10 +60,6 @@ class TileResult:
     best: int
     best_pos: tuple[int, int]  # tile-relative (row 1.., col 1..)
     cells: int
-    #: First tile cell (row-major, columns 1..w) whose H equals the
-    #: watched value, tile-relative — None when no watch was requested
-    #: or nothing matched.
-    watch_hit: tuple[int, int] | None = None
 
 
 def zero_edges(h: int, w: int, local: bool = True) -> TileEdges:
@@ -90,15 +78,12 @@ def zero_edges(h: int, w: int, local: bool = True) -> TileEdges:
 
 def tile_sweep(codes0: np.ndarray, codes1: np.ndarray, scheme: ScoringScheme,
                edges: TileEdges, *, local: bool = True,
-               track_best: bool = False,
-               watch_value: int | None = None) -> TileResult:
+               track_best: bool = False) -> TileResult:
     """Compute one tile given its boundary edges.
 
     ``codes0`` are the tile's rows, ``codes1`` its columns.  Returns the
     outgoing edges (bottom row with H/E/F — the horizontal bus; right
-    column with H/E — the vertical bus).  ``watch_value`` records the
-    first own cell whose H equals it (the boundary column belongs to the
-    left neighbour and is checked by the caller).
+    column with H/E — the vertical bus).
     """
     codes0 = np.ascontiguousarray(codes0, dtype=np.uint8)
     codes1 = np.ascontiguousarray(codes1, dtype=np.uint8)
@@ -113,10 +98,9 @@ def tile_sweep(codes0: np.ndarray, codes1: np.ndarray, scheme: ScoringScheme,
     ext_ramp = np.arange(w + 1, dtype=SCORE_DTYPE) * gext
     egap = gfirst + ext_ramp[:-1]
     zero = zero_row(w + 1, local)
-    # Uncached: wavefront tiles slice fresh column ranges that would only
-    # churn the shared profile LRU.
+    # Uncached: tiles slice fresh column ranges that would only churn
+    # the shared profile LRU.
     sub_lut = build_profile(scheme, codes1)
-    left_X = edges.left_H if edges.left_X is None else edges.left_X
 
     H = edges.top_H.astype(SCORE_DTYPE, copy=True)
     E = edges.top_E.astype(SCORE_DTYPE, copy=True)
@@ -125,7 +109,6 @@ def tile_sweep(codes0: np.ndarray, codes1: np.ndarray, scheme: ScoringScheme,
     right_E = np.empty(h, dtype=SCORE_DTYPE)
     best = 0 if local else int(NEG_INF)
     best_pos = (0, 0)
-    watch_hit: tuple[int, int] | None = None
     X = np.empty(w + 1, dtype=SCORE_DTYPE)
     T = np.empty(w + 1, dtype=SCORE_DTYPE)
 
@@ -133,7 +116,7 @@ def tile_sweep(codes0: np.ndarray, codes1: np.ndarray, scheme: ScoringScheme,
         # Column 0 belongs to the left neighbour: the local zero floor
         # applies only to this tile's own cells — restarts at the
         # boundary column are the neighbour's to take.
-        left = (left_X[i - 1], SCORE_DTYPE(edges.left_E[i - 1]),
+        left = (edges.left_H[i - 1], SCORE_DTYPE(edges.left_E[i - 1]),
                 edges.left_H[i - 1])
         row_step(H, F, H, E, F, X, T, sub_lut[codes0[i - 1]], gext, gfirst,
                  ext_ramp, egap, zero, left=left, gopen=gopen)
@@ -144,14 +127,9 @@ def tile_sweep(codes0: np.ndarray, codes1: np.ndarray, scheme: ScoringScheme,
             if row_max > best:
                 best = row_max
                 best_pos = (i, 1 + int(np.argmax(H[1:])))
-        if watch_value is not None and watch_hit is None:
-            hits = np.flatnonzero(H[1:] == watch_value)
-            if hits.size:
-                watch_hit = (i, 1 + int(hits[0]))
     return TileResult(bottom_H=H, bottom_E=E, bottom_F=F,
                       right_H=right_H, right_E=right_E,
-                      best=best, best_pos=best_pos, cells=h * w,
-                      watch_hit=watch_hit)
+                      best=best, best_pos=best_pos, cells=h * w)
 
 
 @dataclass(frozen=True)

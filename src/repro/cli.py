@@ -102,14 +102,12 @@ def cmd_align(args: argparse.Namespace) -> int:
     if args.paper_grids:
         config = PipelineConfig(scheme=_scheme(args), sra_bytes=args.sra_bytes,
                                 max_partition_size=args.max_partition_size,
-                                executor=args.executor, workers=args.workers,
                                 checkpoint_every_rows=args.checkpoint_every)
     else:
         config = small_config(
             block_rows=args.block_rows, n=len(s1), sra_rows=args.sra_rows,
             max_partition_size=args.max_partition_size,
-            scheme=_scheme(args), executor=args.executor,
-            workers=args.workers,
+            scheme=_scheme(args),
             checkpoint_every_rows=args.checkpoint_every)
 
     observer = ProgressRenderer(sys.stderr) if args.progress else None
@@ -449,12 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_align.add_argument("--sra-bytes", type=int, default=50 * 10**9,
                          help="raw SRA byte budget (with --paper-grids)")
     p_align.add_argument("--max-partition-size", type=int, default=32)
-    p_align.add_argument("--executor", choices=("serial", "wavefront"),
-                         default="serial",
-                         help="execution model: the in-process sweep or the "
-                              "process-pool wavefront tile grid "
-                              "(bit-identical; size the pool with --workers)")
-    p_align.add_argument("--workers", type=int, default=1)
     p_align.add_argument("--workdir", default=None,
                          help="directory for the disk-backed SRA")
     p_align.add_argument("--checkpoint-every", type=int, default=None,

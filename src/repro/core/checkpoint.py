@@ -14,11 +14,9 @@ A corrupt or torn checkpoint raises :class:`~repro.errors.IntegrityError`
 ``OSError`` traceback — Stage 1 catches it and falls back to a fresh
 sweep, so a bad block costs wall-clock, not the run.
 
-Checkpoints are *executor-agnostic*: the parallel wavefront sweeper
-(:class:`~repro.parallel.ParallelRowSweeper`) shares the serial kernel's
-``state_dict``/``load_state`` contract and produces bit-identical state,
-so a run checkpointed under ``--executor wavefront`` resumes under
-``serial`` and vice versa — the file records matrix state, not schedule.
+The file records matrix state, not schedule: it is the
+:class:`~repro.align.rowscan.RowSweeper`'s ``state_dict``, and
+``load_state`` restores it on any sweep of the same matrix.
 """
 
 from __future__ import annotations

@@ -35,18 +35,6 @@ class PipelineConfig:
             per matching round).
         stage4_orthogonal: goal-based reverse halves in Stage 4.
         stage4_balanced: balanced splitting (halve the largest dimension).
-        executor: sweep execution model — ``"serial"`` runs every sweep
-            on the monolithic kernel; ``"wavefront"`` runs stages 1-3 as
-            tile grids on a process pool of ``workers`` sweep workers and
-            fans Stage-4/5 partitions across the same pool.  Both are
-            bit-identical; the choice is purely a performance knob.
-            Sweeps the wavefront grid does not take (small matrices,
-            interior taps) run on the serial kernel and tick
-            ``kernel.fallback.<reason>``.
-        workers: CPU parallelism — sweep processes under the
-            ``"wavefront"`` executor, threads for Stage 3 under
-            ``"serial"`` (serial Stage 4 fuses each round's splits, and
-            Stage 5 every partition, into lane batches instead).
         checkpoint_every_rows: Stage-1 checkpoint interval in matrix rows
             (requires a workdir); None disables checkpointing.
     """
@@ -64,18 +52,9 @@ class PipelineConfig:
     stage3_strip: int = 128
     stage4_orthogonal: bool = True
     stage4_balanced: bool = True
-    executor: str = "serial"
-    workers: int = 1
     checkpoint_every_rows: int | None = None
 
-    #: Valid ``executor`` values.
-    EXECUTORS = ("serial", "wavefront")
-
     def __post_init__(self) -> None:
-        if self.executor not in self.EXECUTORS:
-            raise ConfigError(
-                f"executor must be one of {self.EXECUTORS}, "
-                f"got {self.executor!r}")
         if self.checkpoint_every_rows is not None and self.checkpoint_every_rows < 1:
             raise ConfigError("checkpoint interval must be positive")
         if self.sra_bytes < 0 or self.sca_bytes < 0:
@@ -84,8 +63,6 @@ class PipelineConfig:
             raise ConfigError("max_partition_size must be positive")
         if self.stage2_strip < 1 or self.stage3_strip < 1:
             raise ConfigError("strip widths must be positive")
-        if self.workers < 1:
-            raise ConfigError("workers must be positive")
 
     def with_sra(self, sra_bytes: int) -> "PipelineConfig":
         """Convenience for SRA sweeps (Tables VII/VIII)."""

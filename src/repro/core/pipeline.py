@@ -207,22 +207,6 @@ class CUDAlign:
                     workdir: str | None, *, visualize: bool
                     ) -> PipelineResult:
         config = self.config
-        executor = None
-        if config.executor == "wavefront":
-            from repro.parallel import WavefrontExecutor
-            executor = WavefrontExecutor(config.workers,
-                                         metrics=tel.metrics)
-        try:
-            return self._run_stages_inner(s0, s1, tel, workdir, executor,
-                                          visualize=visualize)
-        finally:
-            if executor is not None:
-                executor.close()
-
-    def _run_stages_inner(self, s0: Sequence, s1: Sequence, tel: Telemetry,
-                          workdir: str | None, executor, *, visualize: bool
-                          ) -> PipelineResult:
-        config = self.config
         tick = time.perf_counter()
         sra_dir = os.path.join(workdir, "sra") if workdir is not None else None
         sca_dir = os.path.join(workdir, "sca") if workdir is not None else None
@@ -262,8 +246,7 @@ class CUDAlign:
         stage1 = run_stage1(s0, s1, config, sra,
                             checkpoint_path=checkpoint,
                             checkpoint_every_rows=config.checkpoint_every_rows,
-                            telemetry=tel, executor=executor,
-                            sweeper=sweeper)
+                            telemetry=tel, sweeper=sweeper)
         tel.stage_end("stage1", stage1)
         if stage1.best_score <= 0:
             # Nothing aligns: the empty alignment is optimal (score 0).
@@ -276,16 +259,14 @@ class CUDAlign:
                 wall_seconds=time.perf_counter() - tick)
 
         tel.stage_start("stage2")
-        stage2 = run_stage2(s0, s1, config, sra, sca, stage1, telemetry=tel,
-                            executor=executor)
+        stage2 = run_stage2(s0, s1, config, sra, sca, stage1, telemetry=tel)
         tel.stage_end("stage2", stage2)
         chain = CrosspointChain(stage2.crosspoints)
 
         stage3 = None
         if any(band.column_positions for band in stage2.bands):
             tel.stage_start("stage3")
-            stage3 = run_stage3(s0, s1, config, sca, stage2, telemetry=tel,
-                                executor=executor)
+            stage3 = run_stage3(s0, s1, config, sca, stage2, telemetry=tel)
             chain = CrosspointChain(stage3.crosspoints)
             tel.stage_end("stage3", stage3)
 
@@ -294,14 +275,12 @@ class CUDAlign:
         if any(not p.degenerate and p.max_dim > limit
                for p in chain.partitions()):
             tel.stage_start("stage4")
-            stage4 = run_stage4(s0, s1, config, chain, telemetry=tel,
-                                executor=executor)
+            stage4 = run_stage4(s0, s1, config, chain, telemetry=tel)
             chain = CrosspointChain(stage4.crosspoints)
             tel.stage_end("stage4", stage4)
 
         tel.stage_start("stage5")
-        stage5 = run_stage5(s0, s1, config, chain, telemetry=tel,
-                            executor=executor)
+        stage5 = run_stage5(s0, s1, config, chain, telemetry=tel)
         tel.stage_end("stage5", stage5)
 
         stage6 = None

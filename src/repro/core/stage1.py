@@ -28,9 +28,9 @@ from typing import Any, ClassVar
 from repro.constants import TYPE_MATCH
 from repro.errors import ConfigError, IntegrityError
 from repro.integrity.codec import KIND_CHECKPOINT
+from repro.align.rowscan import RowSweeper
 from repro.core.checkpoint import (clear_checkpoint, load_checkpoint,
                                    quarantine_checkpoint, save_checkpoint)
-from repro.parallel.sweeper import make_sweeper
 from repro.core.config import PipelineConfig
 from repro.core.crosspoints import Crosspoint
 from repro.core.result import StageResult
@@ -91,14 +91,9 @@ def run_stage1(s0: Sequence, s1: Sequence, config: PipelineConfig,
                sra: SpecialLineStore, *,
                checkpoint_path: str | None = None,
                checkpoint_every_rows: int | None = None,
-               progress=None, telemetry=None, executor=None,
+               progress=None, telemetry=None,
                sweeper=None) -> Stage1Result:
     """Sweep the full matrix, track the best cell, flush special rows.
-
-    With a :class:`~repro.parallel.WavefrontExecutor` attached the sweep
-    runs as a tile grid on the worker pool — bit-identical, including
-    the flush and checkpoint cadence, because the band loop below drives
-    either kernel through the same ``advance`` windows.
 
     ``sweeper`` injects a pre-built (possibly already advanced, even
     completed) sweeper instead of constructing one — the worker pool's
@@ -123,10 +118,9 @@ def run_stage1(s0: Sequence, s1: Sequence, config: PipelineConfig,
                     f"{sweeper.m}x{sweeper.n}, input is {m}x{n}")
             sweep = sweeper
         else:
-            sweep = make_sweeper(s0.codes, s1.codes, config.scheme,
-                                 executor=executor, metrics=tel.metrics,
-                                 local=True, track_best=True, save_rows=rows,
-                                 tracer=tel.tracer)
+            sweep = RowSweeper(s0.codes, s1.codes, config.scheme,
+                               local=True, track_best=True, save_rows=rows,
+                               tracer=tel.tracer)
         resumed_from = 0
         if checkpoint_path is not None and sweeper is None:
             try:

@@ -36,9 +36,9 @@ import numpy as np
 
 from repro.constants import TYPE_GAP_S1, TYPE_MATCH, swap_gap_type
 from repro.errors import IntegrityError, MatchingError
+from repro.align.rowscan import RowSweeper
 from repro.integrity.codec import KIND_SPECIAL_LINE
 from repro.core.config import PipelineConfig
-from repro.parallel.sweeper import make_sweeper
 from repro.core.crosspoints import Crosspoint
 from repro.core.result import StageResult
 from repro.core.stage1 import ROWS_NS, Stage1Result
@@ -82,12 +82,11 @@ class Stage2Result(StageResult):
 
 def run_stage2(s0: Sequence, s1: Sequence, config: PipelineConfig,
                sra: SpecialLineStore, sca: SpecialLineStore,
-               stage1: Stage1Result, *, telemetry=None,
-               executor=None) -> Stage2Result:
+               stage1: Stage1Result, *, telemetry=None) -> Stage2Result:
     """Walk the optimal path backwards from the Stage-1 end point."""
     tel = telemetry if telemetry is not None else NULL_TELEMETRY
     with tel.span("stage2", m=len(s0), n=len(s1)) as stage_span:
-        result = _run_stage2(s0, s1, config, sra, sca, stage1, tel, executor)
+        result = _run_stage2(s0, s1, config, sra, sca, stage1, tel)
         stage_span.set(cells=result.cells, bands=len(result.bands),
                        crosspoints=len(result.crosspoints),
                        wall_seconds=result.wall_seconds)
@@ -99,7 +98,7 @@ def run_stage2(s0: Sequence, s1: Sequence, config: PipelineConfig,
 
 def _run_stage2(s0: Sequence, s1: Sequence, config: PipelineConfig,
                 sra: SpecialLineStore, sca: SpecialLineStore,
-                stage1: Stage1Result, tel, executor=None) -> Stage2Result:
+                stage1: Stage1Result, tel) -> Stage2Result:
     scheme = config.scheme
     gopen = scheme.gap_open
     special_rows = sra.positions(ROWS_NS)
@@ -156,9 +155,8 @@ def _run_stage2(s0: Sequence, s1: Sequence, config: PipelineConfig,
         # Transposed rows at which those columns appear.
         save_rows = [w - j for j in col_positions]
 
-        sweep = make_sweeper(
+        sweep = RowSweeper(
             s1.codes[:w][::-1], s0.codes[r_row:anchor.i][::-1], scheme,
-            executor=executor, metrics=tel.metrics,
             start_gap=swap_gap_type(anchor.type), forced=anchor.type != TYPE_MATCH,
             tap_columns=np.array([h]), save_rows=save_rows or None,
             watch_value=goal, tracer=tel.tracer)
@@ -218,7 +216,6 @@ def _run_stage2(s0: Sequence, s1: Sequence, config: PipelineConfig,
                                 column_positions=tuple(kept),
                                 cells=sweep.cells))
         total_cells += sweep.cells
-        getattr(sweep, "close", lambda: None)()
         # Model: a (processed-columns x band-height) sweep on the Stage-2
         # grid, shrunk by the minimum size requirement to the band height
         # ("the size considered ... is the distance between each special

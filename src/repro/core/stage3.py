@@ -15,15 +15,13 @@ sub-partition is simply ``hi.score - anchor.score`` with the usual
 ``+ G_open`` re-credit on the E-join (a horizontal run crossing the
 column pays its opening on both sides).
 
-Partitions are independent, so they can be processed in parallel
-(``config.workers`` threads).  Each band's special columns are consumed
-here and released from the store, keeping disk usage linear.
+Each band's special columns are consumed here and released from the
+store, keeping disk usage linear.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -31,9 +29,9 @@ import numpy as np
 
 from repro.constants import TYPE_GAP_S0, TYPE_MATCH
 from repro.errors import IntegrityError, MatchingError
+from repro.align.rowscan import RowSweeper
 from repro.integrity.codec import KIND_SPECIAL_LINE
 from repro.core.config import PipelineConfig
-from repro.parallel.sweeper import make_sweeper
 from repro.core.crosspoints import Crosspoint
 from repro.core.result import StageResult
 from repro.core.stage2 import BandRecord, Stage2Result
@@ -72,8 +70,8 @@ def _match_on_row(anchor: Crosspoint, jc: int, line, scheme, goal: int
 
 
 def _split_band(s0: Sequence, s1: Sequence, config: PipelineConfig,
-                sca: SpecialLineStore, band: BandRecord, tel=NULL_TELEMETRY,
-                executor=None) -> tuple[list[Crosspoint], int, float]:
+                sca: SpecialLineStore, band: BandRecord, tel=NULL_TELEMETRY
+                ) -> tuple[list[Crosspoint], int, float]:
     """Find the crosspoints of one partition; returns (points, cells, t_model)."""
     scheme = config.scheme
     gopen = scheme.gap_open
@@ -107,10 +105,9 @@ def _split_band(s0: Sequence, s1: Sequence, config: PipelineConfig,
         col_H = line.H.astype(np.int64)
         col_E = line.G.astype(np.int64)
 
-        sweep = make_sweeper(s0.codes[anchor.i:end.i], s1.codes[anchor.j:jc],
-                             scheme, executor=executor, metrics=tel.metrics,
-                             start_gap=anchor.type,
-                             tap_columns=np.array([w]), tracer=tracer)
+        sweep = RowSweeper(s0.codes[anchor.i:end.i], s1.codes[anchor.j:jc],
+                           scheme, start_gap=anchor.type,
+                           tap_columns=np.array([w]), tracer=tracer)
         found: Crosspoint | None = None
         next_i = 0
         while found is None:
@@ -142,7 +139,6 @@ def _split_band(s0: Sequence, s1: Sequence, config: PipelineConfig,
                     f"{band.namespace} (goal {goal})")
             sweep.advance(config.stage3_strip)
         cells += sweep.cells
-        getattr(sweep, "close", lambda: None)()
         sub_h = max(1, sweep.cells // max(1, w))
         grid = config.grid3.shrink_to(max(w, 1), config.device)
         modeled += sweep_cost(sub_h, w, grid, config.device).seconds
@@ -153,31 +149,16 @@ def _split_band(s0: Sequence, s1: Sequence, config: PipelineConfig,
 
 def run_stage3(s0: Sequence, s1: Sequence, config: PipelineConfig,
                sca: SpecialLineStore, stage2: Stage2Result, *,
-               telemetry=None, executor=None) -> Stage3Result:
-    """Refine every Stage-2 partition against its saved special columns.
-
-    With a wavefront executor the bands run serially here and each band's
-    sweep parallelises internally on the pool (dispatching tile diagonals
-    from concurrent threads would interleave on the worker pipes).
-    """
+               telemetry=None) -> Stage3Result:
+    """Refine every Stage-2 partition against its saved special columns."""
     tel = telemetry if telemetry is not None else NULL_TELEMETRY
     start = time.perf_counter()
     total_cells = 0
     modeled = 0.0
 
     with tel.span("stage3", bands=len(stage2.bands)) as stage_span:
-
-        def work(band: BandRecord):
-            # Re-anchor worker-thread spans under the stage span.
-            with tel.attach(stage_span):
-                return _split_band(s0, s1, config, sca, band, tel, executor)
-
-        if config.workers > 1 and executor is None:
-            with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                results = list(pool.map(work, stage2.bands))
-        else:
-            results = [work(band) for band in stage2.bands]
-
+        results = [_split_band(s0, s1, config, sca, band, tel)
+                   for band in stage2.bands]
         chain: list[Crosspoint] = [stage2.crosspoints[0]]
         widths: list[int] = []
         for band, (points, cells, t_model) in zip(stage2.bands, results):

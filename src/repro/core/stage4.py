@@ -108,15 +108,11 @@ def _oversized(partition: Partition, limit: int) -> bool:
 
 
 def run_stage4(s0: Sequence, s1: Sequence, config: PipelineConfig,
-               chain: CrosspointChain, *, telemetry=None,
-               executor=None) -> Stage4Result:
+               chain: CrosspointChain, *, telemetry=None) -> Stage4Result:
     """Refine the chain until every partition fits max_partition_size.
 
-    Serially, each iteration's splits run as the fused lanes of one
-    :func:`split_partitions` call.  With a wavefront executor they fan
-    across its process pool instead (largest partition first — the split
-    cost is ~area, so size-aware order bounds the makespan); the sequence
-    codes are shared once per stage, not pickled per split.
+    Each iteration's splits run as the fused lanes of one
+    :func:`split_partitions` call.
     """
     tel = telemetry if telemetry is not None else NULL_TELEMETRY
     mm_config = MMConfig(orthogonal=config.stage4_orthogonal,
@@ -128,11 +124,6 @@ def run_stage4(s0: Sequence, s1: Sequence, config: PipelineConfig,
     total_wall = 0.0
     total_modeled = 0.0
     total_splits = 0
-    shared = []
-    refs = {}
-    if executor is not None:
-        shared = [executor.share(s0.codes), executor.share(s1.codes)]
-        refs = {"codes0": shared[0].ref, "codes1": shared[1].ref}
 
     with tel.span("stage4", max_partition_size=limit) as stage_span:
         it = 0
@@ -145,20 +136,9 @@ def run_stage4(s0: Sequence, s1: Sequence, config: PipelineConfig,
             it += 1
             tick = time.perf_counter()
             stats = MMStats()
-            if executor is not None:
-                payloads = [{"partition": p, "scheme": config.scheme,
-                             "mm_config": mm_config} for _, p in todo]
-                results = executor.map_calls(
-                    "split", payloads, refs,
-                    sizes=[p.area for _, p in todo])
-                new_points = [point for point, _ in results]
-                for _, local in results:
-                    stats.cells_forward += local.cells_forward
-                    stats.cells_reverse += local.cells_reverse
-            else:
-                new_points = split_partitions(
-                    s0, s1, [p for _, p in todo], config, mm_config, stats,
-                    tracer=tel.tracer)
+            new_points = split_partitions(
+                s0, s1, [p for _, p in todo], config, mm_config, stats,
+                tracer=tel.tracer)
 
             points: list[Crosspoint] = list(chain.points)
             # Insert new crosspoints after their partition's start point;
@@ -169,7 +149,7 @@ def run_stage4(s0: Sequence, s1: Sequence, config: PipelineConfig,
             new_chain = CrosspointChain(points)
             wall = time.perf_counter() - tick
             cells = stats.cells_forward + stats.cells_reverse
-            modeled = host_seconds(cells, config.host, threads=config.workers)
+            modeled = host_seconds(cells, config.host, threads=1)
             parts_before = partitions
             iterations.append(Stage4Iteration(
                 index=it,
@@ -200,7 +180,4 @@ def run_stage4(s0: Sequence, s1: Sequence, config: PipelineConfig,
         tel.metrics.counter("cells.swept").add(result.cells)
         tel.metrics.counter("stage4.partitions_split").add(total_splits)
         tel.metrics.gauge("crosspoints.L4").set(len(result.crosspoints))
-        if executor is not None:
-            # On the exception path executor.close() unlinks these.
-            executor.release(shared)
         return result

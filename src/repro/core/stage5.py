@@ -73,23 +73,12 @@ def align_partitions(s0: Sequence, s1: Sequence, partitions: list[Partition],
     return paths, sum(p.area for p in aligned)
 
 
-def align_partition(s0: Sequence, s1: Sequence, partition: Partition,
-                    config: PipelineConfig) -> tuple[Alignment, int]:
-    """Exact alignment of one partition; returns (global path, cells)."""
-    [path], cells = align_partitions(s0, s1, [partition], config)
-    return path, cells
-
-
 def run_stage5(s0: Sequence, s1: Sequence, config: PipelineConfig,
-               chain: CrosspointChain, *, telemetry=None,
-               executor=None) -> Stage5Result:
+               chain: CrosspointChain, *, telemetry=None) -> Stage5Result:
     """Align all partitions, concatenate, emit the binary representation.
 
-    Serially, :func:`align_partitions` aligns every partition through
-    one :func:`global_align` call.  With a wavefront executor the base
-    cases fan across its process pool,
-    largest area first; degenerate partitions go through the same path
-    (the worker emits their gap run inline at O(length) cost).
+    :func:`align_partitions` aligns every partition through one
+    :func:`global_align` call.
     """
     tel = telemetry if telemetry is not None else NULL_TELEMETRY
     tick = time.perf_counter()
@@ -101,19 +90,7 @@ def run_stage5(s0: Sequence, s1: Sequence, config: PipelineConfig,
                 f"{config.max_partition_size}); stage 4 must run first")
 
     with tel.span("stage5", partitions=len(partitions)) as stage_span:
-        if executor is not None:
-            shared = [executor.share(s0.codes), executor.share(s1.codes)]
-            refs = {"codes0": shared[0].ref, "codes1": shared[1].ref}
-            payloads = [{"partition": p, "scheme": config.scheme}
-                        for p in partitions]
-            results = executor.map_calls("align", payloads, refs,
-                                         sizes=[p.area for p in partitions])
-            # On the exception path executor.close() unlinks these.
-            executor.release(shared)
-            pieces = [path for path, _ in results]
-            cells = sum(c for _, c in results)
-        else:
-            pieces, cells = align_partitions(s0, s1, partitions, config)
+        pieces, cells = align_partitions(s0, s1, partitions, config)
 
         alignment = Alignment.concat_all(pieces)
         best = chain.best_score
@@ -129,8 +106,7 @@ def run_stage5(s0: Sequence, s1: Sequence, config: PipelineConfig,
             partitions_aligned=len(partitions),
             cells=cells,
             wall_seconds=wall,
-            modeled_seconds=host_seconds(cells, config.host,
-                                         threads=config.workers),
+            modeled_seconds=host_seconds(cells, config.host, threads=1),
         )
         stage_span.set(cells=result.cells,
                        partitions=result.partitions_aligned,

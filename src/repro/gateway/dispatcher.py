@@ -63,12 +63,11 @@ class ServiceDispatcher:
 
     def __init__(self, root: str, *, workers: int = 1, resume: bool = False,
                  poll_seconds: float = 0.02, metrics_interval: float = 1.0,
-                 sinks: tuple = (), cpu_count: int | None = None,
-                 supervisor=None, batching=None):
+                 sinks: tuple = (), supervisor=None, batching=None):
         self.sink = QueueSink()
         self.service = AlignmentService(
             root, workers=workers, resume=resume,
-            sinks=(self.sink,) + tuple(sinks), cpu_count=cpu_count,
+            sinks=(self.sink,) + tuple(sinks),
             supervisor=supervisor, batching=batching)
         self.broker = EventBroker()
         self.poll_seconds = poll_seconds

@@ -7,9 +7,8 @@ The cache key is a SHA-256 over three components:
   content, or a re-built catalog pair, hash identically);
 * the **scoring scheme** — (match, mismatch, gap_first, gap_ext);
 * the **config fingerprint** — the canonical JSON of the
-  :class:`~repro.core.config.PipelineConfig` minus the knobs that cannot
-  change the result: ``workers`` (thread count) and
-  ``checkpoint_every_rows`` (crash-recovery cadence).
+  :class:`~repro.core.config.PipelineConfig` minus the knob that cannot
+  change the result: ``checkpoint_every_rows`` (crash-recovery cadence).
 
 Entries are one JSON file per key under ``cache/`` in the service root,
 written atomically inside a checksummed integrity envelope, so the cache
@@ -35,7 +34,7 @@ from repro.telemetry.manifest import json_safe
 
 #: Config fields excluded from the fingerprint: execution-only knobs that
 #: cannot change the alignment the pipeline produces.
-NON_SEMANTIC_FIELDS = ("workers", "checkpoint_every_rows")
+NON_SEMANTIC_FIELDS = ("checkpoint_every_rows",)
 
 
 def config_fingerprint(config: PipelineConfig) -> str:

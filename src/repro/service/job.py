@@ -53,6 +53,11 @@ class JobState:
 
 _AUTO_IDS = itertools.count(1)
 
+#: Spec fields earlier versions wrote and this one no longer accepts.
+#: None of them ever changed a result, so a journal replay drops them;
+#: a POST body or spec file naming one is refused as unknown.
+RETIRED_FIELDS = ("kernel", "executor", "workers")
+
 
 @dataclass(frozen=True)
 class JobSpec:
@@ -66,11 +71,8 @@ class JobSpec:
     resume Stage 1 from the latest checkpoint; set it to ``None`` to make
     every retry start over.
 
-    ``executor`` picks the execution model (``serial`` / ``wavefront``)
-    and routes through :class:`~repro.core.config.PipelineConfig`, so
-    the gateway and batch spec files can steer jobs per executor — both
-    are bit-identical, the knob is purely performance.  Unknown fields
-    are rejected by :meth:`from_json`.
+    Unknown fields are rejected by :meth:`from_json`; a journal replay
+    first drops the :data:`RETIRED_FIELDS` older specs still carry.
 
     ``stall_seconds`` and ``max_rss_bytes`` override the service-wide
     supervision defaults per job (``None`` defers to the supervisor).
@@ -94,8 +96,6 @@ class JobSpec:
     block_rows: int = 64
     sra_rows: int = 8
     max_partition_size: int = 32
-    executor: str = "serial"
-    workers: int = 1
     checkpoint_every_rows: int | None = 64
     priority: int = 0
     deadline_seconds: float | None = None
@@ -150,7 +150,6 @@ class JobSpec:
         return small_config(
             block_rows=self.block_rows, n=n, sra_rows=self.sra_rows,
             max_partition_size=self.max_partition_size, scheme=self.scheme,
-            executor=self.executor, workers=self.workers,
             checkpoint_every_rows=self.checkpoint_every_rows)
 
     # ------------------------------------------------------------- codecs

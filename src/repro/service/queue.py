@@ -20,7 +20,7 @@ from typing import Any, Iterable, NamedTuple
 
 from repro.errors import ConfigError, IntegrityError
 from repro.integrity import codec
-from repro.service.job import JobRecord, JobSpec, JobState
+from repro.service.job import RETIRED_FIELDS, JobRecord, JobSpec, JobState
 
 #: Journal file name inside a service root.
 JOURNAL_NAME = "journal.jsonl"
@@ -287,6 +287,9 @@ def replay_journal(journal_path: str | os.PathLike) -> JournalReplay:
     corrupt record *anywhere* in the journal — the torn final line of a
     killed process or a flipped bit in the middle — is skipped and
     counted in ``corrupt``, never silently folded into job state.
+    Spec fields an older version journalled and this one retired
+    (:data:`~repro.service.job.RETIRED_FIELDS`) are dropped, so its
+    roots still replay.
     """
     journal_path = os.fspath(journal_path)
     records: dict[str, JobRecord] = {}
@@ -315,7 +318,9 @@ def replay_journal(journal_path: str | os.PathLike) -> JournalReplay:
         kind = event.get("event")
         job_id = event.get("job_id")
         if kind == "submitted":
-            spec = JobSpec.from_json(event["spec"])
+            spec = JobSpec.from_json({
+                k: v for k, v in event["spec"].items()
+                if k not in RETIRED_FIELDS})
             record = JobRecord(spec=spec,
                                submitted_unix=event.get("time", 0.0))
             records[job_id] = record

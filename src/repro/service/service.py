@@ -36,7 +36,7 @@ from repro.service.cache import ResultCache, cache_key, config_fingerprint
 from repro.service.job import JobRecord, JobSpec, JobState
 from repro.service.queue import JOURNAL_NAME, JobQueue
 from repro.service.supervision import SupervisorConfig, write_diagnostics
-from repro.service.worker import WorkerPool, core_budget
+from repro.service.worker import WorkerPool
 from repro.telemetry.manifest import (MANIFEST_VERSION, json_safe,
                                       sequence_digest, write_manifest)
 from repro.telemetry.observer import as_observer
@@ -57,8 +57,7 @@ class BatchConfig:
     (:func:`repro.align.batched.sweep_batched`).
 
     A job qualifies only when the fused sweep is exactly equivalent to
-    its solo run: serial executor, no per-spec deadline/stall/RSS
-    envelope, no chaos injections, and a first attempt (retries resume
+    its solo run: no per-spec deadline/stall/RSS envelope, no chaos injections, and a first attempt (retries resume
     from their checkpoint, so they run solo).  Disqualified jobs
     dispatch normally and are counted under
     ``kernel.batch.fallback.<reason>``.
@@ -85,8 +84,7 @@ class AlignmentService:
 
     Args:
         root: service root directory (created, parents included).
-        workers: concurrent worker processes (>= 1, enforced by the same
-            rule as ``PipelineConfig.workers``).
+        workers: concurrent worker processes (>= 1).
         resume: recover the queue from an existing journal instead of
             starting empty — unfinished jobs become pending again.
         observer: optional :class:`~repro.telemetry.PipelineObserver`
@@ -97,12 +95,6 @@ class AlignmentService:
             every heartbeat, report or child death; only a silent
             attempt (a hang), a retry back-off hold or the disk guard
             waits the full ``poll_seconds`` to be re-checked.
-        cpu_count: host cores the pool may assume (defaults to
-            ``os.cpu_count()``).  Each dispatched job gets an even share
-            — ``max(1, cpu_count // workers)`` — as its cap on
-            intra-pipeline workers, so J jobs x W pipeline workers never
-            exceeds the machine; clamps are counted as
-            ``service.cores_clamped``.
         supervisor: runtime supervision policy
             (:class:`~repro.service.supervision.SupervisorConfig`) —
             stall/RSS guards for the pool, crash-loop quarantine
@@ -115,7 +107,7 @@ class AlignmentService:
 
     def __init__(self, root: str | os.PathLike, *, workers: int = 1,
                  resume: bool = False, observer=None, sinks: tuple = (),
-                 poll_seconds: float = 0.02, cpu_count: int | None = None,
+                 poll_seconds: float = 0.02,
                  supervisor: SupervisorConfig | None = None,
                  batching: BatchConfig | None = None):
         self.root = os.fspath(root)
@@ -142,8 +134,6 @@ class AlignmentService:
                                stall_seconds=self.supervisor.stall_seconds,
                                max_rss_bytes=self.supervisor.max_rss_bytes)
         self.disk_guard = self.supervisor.make_disk_guard(self.root)
-        self.cpu_count = cpu_count if cpu_count is not None else (
-            os.cpu_count() or 1)
         self.poll_seconds = poll_seconds
         self.batching = batching if batching is not None else BatchConfig()
         self._inflight_keys: dict[str, str] = {}   # cache key -> job_id
@@ -336,11 +326,7 @@ class AlignmentService:
         """Start one solo attempt (the classic one-process-per-job path)."""
         self.queue.mark_running(record)
         self._inflight_keys[key] = record.job_id
-        budget = core_budget(self.cpu_count, self.pool.workers)
-        if record.spec.workers > budget:
-            self.telemetry.metrics.counter("service.cores_clamped").add(1)
-        self.pool.dispatch(record, self.job_workdir(record.job_id),
-                           core_budget=budget)
+        self.pool.dispatch(record, self.job_workdir(record.job_id))
         self._gauges()
 
     def _dispatch_group(self, batch: list[tuple[JobRecord, str]]) -> None:
@@ -358,8 +344,7 @@ class AlignmentService:
         metrics.counter("kernel.batch.jobs").add(len(records))
         metrics.histogram("kernel.batch.size").observe(len(records))
         self.pool.dispatch_group(
-            records, [self.job_workdir(r.job_id) for r in records],
-            core_budget=core_budget(self.cpu_count, self.pool.workers))
+            records, [self.job_workdir(r.job_id) for r in records])
         self._gauges()
 
     def _batch_disqualifier(self, record: JobRecord) -> str | None:
@@ -372,8 +357,6 @@ class AlignmentService:
         checkpoint, which the fused presweep would ignore.
         """
         spec = record.spec
-        if spec.executor != "serial":
-            return "executor"
         if (spec.deadline_seconds is not None
                 or spec.stall_seconds is not None
                 or spec.max_rss_bytes is not None):
@@ -574,7 +557,7 @@ class AlignmentService:
             "created_unix": time.time(),
             "root": self.root,
             "workers": self.pool.workers,
-            "cpu_count": self.cpu_count,
+            "cpu_count": os.cpu_count(),
             "summary": json_safe(summary or {}),
             "jobs": json_safe([r.to_json() for r in self.queue.records()]),
             "metrics": json_safe(self.telemetry.metrics.snapshot()),

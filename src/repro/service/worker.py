@@ -34,7 +34,7 @@ import os
 import signal
 import time
 import traceback
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from multiprocessing import connection
 from typing import Any
 
@@ -191,19 +191,7 @@ class ObserverChain(PipelineObserver):
             obs.on_metric(name, value)
 
 
-def core_budget(cpu_count: int, job_slots: int) -> int:
-    """Per-job core allowance so J jobs x W workers never oversubscribe.
-
-    The machine's cores are split evenly across the pool's job slots:
-    ``max(1, cpu_count // job_slots)``.  A job asking for more pipeline
-    workers than its share is clamped at dispatch (the service counts
-    those clamps as ``service.cores_clamped``).
-    """
-    return max(1, cpu_count // max(1, job_slots))
-
-
 def execute_job(spec: JobSpec, workdir: str, attempt: int,
-                core_budget: int | None = None,
                 observer: PipelineObserver | None = None,
                 stage1_sweeper=None,
                 sequences: tuple[Sequence, Sequence] | None = None
@@ -214,9 +202,7 @@ def execute_job(spec: JobSpec, workdir: str, attempt: int,
     benchmarks can call it inline.  The chaos hooks only arm on the
     first attempt(s) — the retry must succeed to prove the resume path.
 
-    ``core_budget`` caps the pipeline's intra-job parallelism (the
-    ``workers`` knob) so concurrent jobs don't oversubscribe the host;
-    ``None`` means uncapped (inline callers).  ``observer`` is chained
+    ``observer`` is chained
     *after* the chaos injectors (worker children pass the heartbeat
     sender here, so an injected hang silences the heartbeat too).
     ``stage1_sweeper`` hands the pipeline a pre-built (typically already
@@ -225,8 +211,6 @@ def execute_job(spec: JobSpec, workdir: str, attempt: int,
     """
     s0, s1 = sequences if sequences is not None else spec.load_sequences()
     config = spec.pipeline_config(n=len(s1))
-    if core_budget is not None and config.workers > core_budget:
-        config = replace(config, workers=core_budget)
     chain: list[PipelineObserver] = []
     if spec.inject_failure_row is not None and attempt <= 1:
         chain.append(FailureInjector(len(s0), spec.inject_failure_row))
@@ -341,7 +325,7 @@ def _restore_signals() -> None:
 
 
 def _job_main(conn, spec_json: dict[str, Any], workdir: str,
-              attempt: int, core_budget: int | None = None) -> None:
+              attempt: int) -> None:
     """Child-process entry point: heartbeats while running, one final
     report, and the crash-loop chaos hook (dies without reporting)."""
     try:
@@ -350,7 +334,6 @@ def _job_main(conn, spec_json: dict[str, Any], workdir: str,
         if attempt <= spec.inject_crash_attempts:
             os._exit(66)    # crash injection: no report, no cleanup
         summary = execute_job(spec, workdir, attempt,
-                              core_budget=core_budget,
                               observer=HeartbeatSender(conn))
         conn.send({"ok": True, "summary": summary})
     except BaseException as exc:  # report everything; the parent decides
@@ -361,8 +344,7 @@ def _job_main(conn, spec_json: dict[str, Any], workdir: str,
         conn.close()
 
 
-def _group_main(conn, jobs: list[dict[str, Any]],
-                core_budget: int | None = None) -> None:
+def _group_main(conn, jobs: list[dict[str, Any]]) -> None:
     """Child entry for a coalesced group of jobs.
 
     One fused Stage-1 presweep across every member, then each member's
@@ -389,7 +371,6 @@ def _group_main(conn, jobs: list[dict[str, Any]],
             try:
                 summary = execute_job(
                     spec, job["workdir"], job["attempt"],
-                    core_budget=core_budget,
                     observer=_StagePrefix(heartbeat, prefix),
                     stage1_sweeper=sweepers[spec.job_id],
                     sequences=pairs[spec.job_id])
@@ -519,7 +500,6 @@ class WorkerPool:
 
     def __init__(self, workers: int, stall_seconds: float | None = None,
                  max_rss_bytes: int | None = None):
-        # Central worker-count policy: same rule as PipelineConfig.workers.
         if workers < 1:
             raise ConfigError("workers must be positive")
         self.workers = workers
@@ -549,13 +529,8 @@ class WorkerPool:
         ``timeout`` seconds."""
         wait_readable(self.pipes(), timeout)
 
-    def dispatch(self, record: JobRecord, workdir: str,
-                 core_budget: int | None = None) -> None:
-        """Start one attempt of ``record`` in a fresh child process.
-
-        ``core_budget`` is forwarded to :func:`execute_job` to cap the
-        job's intra-pipeline workers.
-        """
+    def dispatch(self, record: JobRecord, workdir: str) -> None:
+        """Start one attempt of ``record`` in a fresh child process."""
         if self.free_slots <= 0:
             raise ConfigError("dispatch() with no free worker slot")
         os.makedirs(workdir, exist_ok=True)
@@ -563,7 +538,7 @@ class WorkerPool:
         process = _CTX.Process(
             target=_job_main,
             args=(child_conn, record.spec.to_json(), workdir,
-                  record.attempts, core_budget),
+                  record.attempts),
             name=f"repro-job-{record.job_id}")
         with _child_signals_held():
             process.start()
@@ -571,8 +546,8 @@ class WorkerPool:
         self._running.append(Attempt(record=record, process=process,
                                      conn=parent_conn))
 
-    def dispatch_group(self, records: list[JobRecord], workdirs: list[str],
-                       core_budget: int | None = None) -> None:
+    def dispatch_group(self, records: list[JobRecord],
+                       workdirs: list[str]) -> None:
         """Start ONE child attempt running several jobs (micro-batching).
 
         The group occupies a single worker slot — that is the point: K
@@ -593,7 +568,7 @@ class WorkerPool:
                          "attempt": record.attempts})
         parent_conn, child_conn = _CTX.Pipe(duplex=False)
         process = _CTX.Process(
-            target=_group_main, args=(child_conn, jobs, core_budget),
+            target=_group_main, args=(child_conn, jobs),
             name=f"repro-group-{records[0].job_id}-x{len(records)}")
         with _child_signals_held():
             process.start()

@@ -16,7 +16,7 @@ from typing import Any, Iterator
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.observer import PipelineObserver
 from repro.telemetry.sinks import TelemetrySink
-from repro.telemetry.spans import Span, Tracer
+from repro.telemetry.spans import Tracer
 
 
 class _ObserverMetricFanout(TelemetrySink):
@@ -46,9 +46,6 @@ class Telemetry:
     # ----------------------------------------------------------- tracing
     def span(self, name: str, **attributes: Any):
         return self.tracer.span(name, **attributes)
-
-    def attach(self, span: Span):
-        return self.tracer.attach(span)
 
     # ---------------------------------------------------------- integrity
     def corruption(self, kind: str, path: str, *, action: str,
@@ -183,10 +180,6 @@ class NullTelemetry:
     @contextmanager
     def span(self, name: str, **attributes: Any) -> Iterator[_NullSpan]:
         yield _NULL_SPAN
-
-    @contextmanager
-    def attach(self, span: Any) -> Iterator[None]:
-        yield
 
     def corruption(self, kind: str, path: str, *, action: str,
                    detail: str = "", count: int = 1) -> None:

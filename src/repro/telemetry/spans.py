@@ -8,10 +8,7 @@ records two clocks: the wall-clock epoch at entry (``start_wall``,
 so durations are exact and span timestamps are mutually comparable.
 
 Nesting is tracked per thread: the innermost open span of the current
-thread becomes the parent of the next one.  Work fanned out to a thread
-pool keeps its parentage by wrapping the worker body in
-:meth:`Tracer.attach`, which pins an explicit parent onto the worker
-thread's stack (the stages with partition parallelism do this).
+thread becomes the parent of the next one.
 
 Sinks (:mod:`repro.telemetry.sinks`) observe spans as they open and
 close; the tracer itself stores nothing, so tracing an unbounded run
@@ -128,17 +125,3 @@ class Tracer:
             stack.pop()
             for sink in self.sinks:
                 sink.on_span_end(span)
-
-    @contextmanager
-    def attach(self, span: Span) -> Iterator[None]:
-        """Adopt ``span`` as the calling thread's current parent.
-
-        Thread-pool workers wrap their body in this so the spans they
-        open nest under the stage span that submitted the work.
-        """
-        stack = self._stack()
-        stack.append(span)
-        try:
-            yield
-        finally:
-            stack.pop()

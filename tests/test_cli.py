@@ -86,13 +86,6 @@ class TestAlign:
         assert "best score:" in capsys.readouterr().out
         assert (workdir / "manifest.json").exists()
 
-    def test_align_workers_zero_clean_error(self, fasta_pair, capsys):
-        p0, p1, _, _ = fasta_pair
-        rc = main(["align", p0, p1, "--workers", "0"])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "error:" in err and "workers must be positive" in err
-
     def test_batch_workers_zero_clean_error(self, tmp_path, capsys):
         spec_file = tmp_path / "specs.json"
         spec_file.write_text('[{"catalog": "162Kx172K"}]')

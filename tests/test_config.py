@@ -33,7 +33,7 @@ class TestPipelineConfig:
         with pytest.raises(ConfigError):
             PipelineConfig(max_partition_size=0)
         with pytest.raises(ConfigError):
-            PipelineConfig(workers=0)
+            PipelineConfig(checkpoint_every_rows=0)
         with pytest.raises(ConfigError):
             PipelineConfig(stage2_strip=0)
 
@@ -60,9 +60,9 @@ class TestSmallConfig:
             small_config(block_rows=30)
 
     def test_overrides_pass_through(self):
-        config = small_config(block_rows=32, workers=5,
+        config = small_config(block_rows=32, stage3_strip=5,
                               scheme=ScoringScheme(2, -1, 4, 2))
-        assert config.workers == 5
+        assert config.stage3_strip == 5
         assert config.scheme.match == 2
 
 

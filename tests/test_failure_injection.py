@@ -126,84 +126,64 @@ class TestStorageFaults:
         assert len(sra.positions(ROWS_NS)) <= 1
 
 
-def _stage1_wavefront(s0, s1, config, sra_dir, ckpt) -> None:
-    """Child-process body: a pooled wavefront Stage 1 with checkpointing."""
-    from repro.parallel import WavefrontExecutor
+def _stage1_parked(s0, s1, config, sra_dir, ckpt) -> None:
+    """Child-process body: a checkpointing Stage 1 that parks in its
+    ``progress`` callback once its first checkpoint exists, so the
+    parent's SIGKILL always lands mid-sweep."""
 
-    # Own process group so the parent's SIGKILL takes the executor's
-    # worker processes down too (they would otherwise linger on their
-    # task pipes, holding inherited descriptors open).
-    os.setpgrp()
+    def park(stage, fraction) -> None:
+        while os.path.exists(ckpt):
+            time.sleep(3600)
+
     sra = SpecialLineStore(config.sra_bytes, directory=sra_dir)
-    executor = WavefrontExecutor(2)
-    try:
-        run_stage1(s0, s1, config, sra, checkpoint_path=ckpt,
-                   checkpoint_every_rows=16, executor=executor)
-    finally:
-        executor.close()
+    run_stage1(s0, s1, config, sra, checkpoint_path=ckpt,
+               checkpoint_every_rows=16, progress=park)
 
 
-class TestParallelStage1Kill:
-    """SIGKILL in the middle of a *parallel* Stage 1: the checkpoint and
-    the durable SRA must bring a resumed sweep to the exact same result
-    as an uninterrupted serial run — worker processes, shared-memory
-    segments and all die with the victim, none of it is durable state."""
+class TestStage1Kill:
+    """SIGKILL in the middle of Stage 1: the checkpoint and the durable
+    SRA must bring a resumed sweep to the exact result of an
+    uninterrupted run, special rows included."""
 
     def test_sigkill_mid_sweep_resumes_bit_identical(self, tmp_path, rng):
-        from repro.parallel import WavefrontExecutor
-
         s0, s1 = make_pair(rng, 300, 280)
         config = small_config(block_rows=32, n=len(s1), sra_rows=5)
 
-        reference = run_stage1(s0, s1, config, SpecialLineStore(config.sra_bytes))
+        ref_sra = SpecialLineStore(config.sra_bytes)
+        reference = run_stage1(s0, s1, config, ref_sra)
 
         sra_dir = str(tmp_path / "sra")
         ckpt = str(tmp_path / "stage1.ckpt")
-        shm_dir = "/dev/shm"
-        shm_before = (set(os.listdir(shm_dir))
-                      if os.path.isdir(shm_dir) else None)
         ctx = multiprocessing.get_context("fork")
-        victim = ctx.Process(target=_stage1_wavefront,
+        victim = ctx.Process(target=_stage1_parked,
                              args=(s0, s1, config, sra_dir, ckpt))
         victim.start()
-        deadline = time.monotonic() + 60
-        while victim.is_alive() and not os.path.exists(ckpt):
-            if time.monotonic() > deadline:  # pragma: no cover
-                os.killpg(victim.pid, signal.SIGKILL)
-                victim.join()
-                pytest.fail("no checkpoint appeared within 60s")
-            time.sleep(0.002)
-        killed = victim.is_alive()
-        if killed:
-            try:
-                os.killpg(victim.pid, signal.SIGKILL)
-            except ProcessLookupError:  # finished in the window
-                killed = False
-        victim.join()
+        try:
+            deadline = time.monotonic() + 60
+            while victim.is_alive() and not os.path.exists(ckpt):
+                if time.monotonic() > deadline:  # pragma: no cover
+                    pytest.fail("no checkpoint appeared within 60s")
+                time.sleep(0.002)
+            assert victim.is_alive(), "stage 1 died before checkpointing"
+        finally:
+            victim.kill()
+            victim.join(30)
+        assert not victim.is_alive()
+        assert victim.exitcode == -signal.SIGKILL
 
         sra = SpecialLineStore(config.sra_bytes, directory=sra_dir,
                                recover=True)
-        executor = WavefrontExecutor(2)
-        try:
-            resumed = run_stage1(s0, s1, config, sra, checkpoint_path=ckpt,
-                                 checkpoint_every_rows=16, executor=executor)
-        finally:
-            executor.close()
-        if killed:
-            assert resumed.resumed_from_row > 0
+        resumed = run_stage1(s0, s1, config, sra, checkpoint_path=ckpt,
+                             checkpoint_every_rows=16)
+        assert resumed.resumed_from_row > 0
         assert resumed.best_score == reference.best_score
         assert resumed.end_point == reference.end_point
         assert resumed.special_rows == reference.special_rows
-
-        # SIGKILL takes the victim's resource tracker down with it, so
-        # its shared-memory segments cannot be unlinked by anyone —
-        # sweep them here (the resumed executor already unlinked its own).
-        if shm_before is not None:
-            for name in set(os.listdir(shm_dir)) - shm_before:
-                try:
-                    os.unlink(os.path.join(shm_dir, name))
-                except OSError:  # pragma: no cover
-                    pass
+        assert reference.special_rows
+        for row in reference.special_rows:
+            want, got = ref_sra.load(ROWS_NS, row), sra.load(ROWS_NS, row)
+            np.testing.assert_array_equal(got.H, want.H)
+            np.testing.assert_array_equal(got.G, want.G)
 
 
 def _strike(path, fault: str) -> None:

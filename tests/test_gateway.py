@@ -246,10 +246,12 @@ class TestProtocol:
         status, _, body = client.request("POST", "/v1/jobs",
                                          raw_body=b"{not json")
         assert status == 400 and "malformed JSON" in body["error"]
-        # Schema violation: unknown field (the specfile schema gate).
-        status, _, body = client.request(
-            "POST", "/v1/jobs", {**TINY, "bogus": 1})
-        assert status == 400 and "unknown job spec" in body["error"]
+        # Schema violation: unknown field (the specfile schema gate),
+        # retired knobs included.
+        for field in ("bogus", "executor"):
+            status, _, body = client.request(
+                "POST", "/v1/jobs", {**TINY, field: 1})
+            assert status == 400 and "unknown job spec" in body["error"]
         # Invalid knob values surface the ConfigError message.
         status, _, body = client.request(
             "POST", "/v1/jobs", {**TINY, "max_retries": -1})

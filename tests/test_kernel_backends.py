@@ -1,21 +1,19 @@
 """Sweep conformance: every sweep path, bit for bit.
 
 Every O(mn) sweep runs the one Gotoh row body
-(:func:`repro.align.rowscan.row_step`), reached three ways: the serial
-:class:`RowSweeper` (the ``rowscan`` reference), the edge-seeded tile
-grid (``wavefront``: :class:`ParallelRowSweeper`, inline here), and the
-fused lane axis (``lanes``: a K=1 adapter over
-:func:`repro.align.batched.sweep_lanes`).  Each must be an *exact*
-drop-in for the reference — identical H/E/F rows, best cell, watch hit,
-saved rows, taps, cell counts and checkpoints — so this suite runs both
-through the same assertion (:func:`tests.conftest.assert_sweeps_identical`)
-on inputs chosen to break lookalikes: N-heavy sequences through the
-substitution LUT, the ``gap_first == gap_ext`` scan boundary, one-row
-and one-column matrices, every forced/start-gap regime, windowed
-``advance`` cuts, and cross-path checkpoint resume.  It also pins
-``make_sweeper``'s routing (including the ``kernel.fallback`` signal),
-the removal of the ``kernel`` knob, and the bench ledger's refusal to
-report names the script cannot back.
+(:func:`repro.align.rowscan.row_step`), reached two ways: the serial
+:class:`RowSweeper` (the ``rowscan`` reference) and the fused lane axis
+(``lanes``: a K=1 adapter over :func:`repro.align.batched.sweep_lanes`).
+The lane path must be an *exact* drop-in for the reference — identical
+H/E/F rows, best cell, watch hit, saved rows, taps, cell counts and
+checkpoints — so this suite runs both through the same assertion
+(:func:`tests.conftest.assert_sweeps_identical`) on inputs chosen to
+break lookalikes: N-heavy sequences through the substitution LUT, the
+``gap_first == gap_ext`` scan boundary, one-row and one-column matrices,
+every forced/start-gap regime, windowed ``advance`` cuts, and
+cross-path checkpoint resume.  It also pins the removal of the
+``kernel``, ``executor`` and ``workers`` knobs, and the bench ledger's
+refusal to report names the script cannot back.
 """
 
 from __future__ import annotations
@@ -33,10 +31,8 @@ from repro.align.batched import sweep_lanes
 from repro.align.myers_miller import MMConfig
 from repro.align.scoring import PAPER_SCHEME
 from repro.core import small_config
-from repro.parallel import MIN_PARALLEL_CELLS, ParallelRowSweeper
-from repro.service import JobSpec
+from repro.service import JobSpec, load_specs
 from repro.sequences.sequence import N_CODE, Sequence
-from repro.telemetry.metrics import MetricsRegistry
 
 from tests.conftest import SCHEMES, assert_sweeps_identical, make_pair
 
@@ -61,11 +57,11 @@ class _LaneSweeper(RowSweeper):
         return nrows
 
 
-#: The wavefront grid runs inline (executor=None): same schedule, no
-#: pool — conformance is about the arithmetic, not the transport.
-SWEEPERS = {"rowscan": RowSweeper, "wavefront": ParallelRowSweeper,
-            "lanes": _LaneSweeper}
-NON_REFERENCE = ["wavefront", "lanes"]
+SWEEPERS = {"rowscan": RowSweeper, "lanes": _LaneSweeper}
+NON_REFERENCE = ["lanes"]
+#: Knobs the pipeline and the job spec no longer take.
+RETIRED_KNOBS = [("kernel", "diagonal"), ("executor", "wavefront"),
+                 ("workers", 2)]
 
 
 def _make(name, s0, s1, scheme, **kw):
@@ -157,7 +153,6 @@ class TestConformance:
     def test_interior_taps(self, rng):
         # Interior tap columns are a capability, not part of the base
         # contract: conformance applies to every backend that claims it.
-        # The wavefront grid only taps the final column.
         s0, s1 = make_pair(rng, 50, 44)
         capable = ["lanes"]
         taps = np.array([1, 17, len(s1)])
@@ -192,81 +187,37 @@ class TestConformance:
             assert_sweeps_identical(reference, resumed.run())
 
 
-class TestMakeSweeperRouting:
-    def test_small_matrix_fallback_is_signalled(self, rng):
-        # The silent-serial-fallback bug: an attached executor that ends
-        # up unused must tick kernel.fallback with a reason, not vanish.
-        from repro.parallel import make_sweeper
-        s0, s1 = make_pair(rng, 40, 40)
-        assert 40 * 40 < MIN_PARALLEL_CELLS
-        metrics = MetricsRegistry()
-        sweep = make_sweeper(s0.codes, s1.codes, PAPER_SCHEME,
-                             executor=object(), metrics=metrics)
-        assert type(sweep) is RowSweeper
-        snap = metrics.snapshot()
-        assert snap["kernel.fallback"] == 1
-        assert snap["kernel.fallback.small_matrix"] == 1
-
-    def test_interior_tap_fallback_is_signalled(self, rng):
-        from repro.parallel import make_sweeper
-        s0, s1 = make_pair(rng, 200, 200)
-        metrics = MetricsRegistry()
-        sweep = make_sweeper(s0.codes, s1.codes, PAPER_SCHEME,
-                             executor=object(), metrics=metrics,
-                             tap_columns=np.array([3, 200]))
-        assert type(sweep) is RowSweeper
-        snap = metrics.snapshot()
-        assert snap["kernel.fallback"] == 1
-        assert snap["kernel.fallback.interior_taps"] == 1
-
-    def test_no_executor_is_not_a_fallback(self, rng):
-        # Serial-by-configuration is the requested path, not a fallback.
-        from repro.parallel import make_sweeper
-        s0, s1 = make_pair(rng, 40, 40)
-        metrics = MetricsRegistry()
-        sweep = make_sweeper(s0.codes, s1.codes, PAPER_SCHEME,
-                             metrics=metrics)
-        assert type(sweep) is RowSweeper
-        assert "kernel.fallback" not in metrics.snapshot()
-
-    def test_executor_routes_to_wavefront(self, rng):
-        from repro.parallel import WavefrontExecutor, make_sweeper
-        s0, s1 = make_pair(rng, 200, 180)
-        with WavefrontExecutor(1) as executor:
-            metrics = MetricsRegistry()
-            sweep = make_sweeper(s0.codes, s1.codes, PAPER_SCHEME,
-                                 executor=executor, metrics=metrics)
-            assert isinstance(sweep, ParallelRowSweeper)
-            assert "kernel.fallback" not in metrics.snapshot()
-            sweep.close()
-
-
 class TestPipelineParity:
     def test_config_rejects_bad_kernel(self):
-        # One in-process kernel is left, so the knob is gone everywhere:
-        # config objects refuse it and the job-spec wire format treats
-        # it as an unknown field.
-        with pytest.raises(TypeError):
-            small_config(block_rows=32, n=256, kernel="rowscan")
+        # One in-process kernel and one execution model are left, so the
+        # kernel, executor and workers knobs are gone everywhere: config
+        # objects refuse them and the job-spec wire format treats each
+        # as an unknown field.
+        for field, value in RETIRED_KNOBS:
+            with pytest.raises(TypeError):
+                small_config(block_rows=32, n=256, **{field: value})
+            spec = JobSpec(seq0="a.fa", seq1="b.fa").to_json()
+            spec[field] = value
+            with pytest.raises(ConfigError, match="unknown job spec fields"):
+                JobSpec.from_json(spec)
         with pytest.raises(TypeError):
             MMConfig(kernel="rowscan")
-        spec = JobSpec(seq0="a.fa", seq1="b.fa").to_json()
-        spec["kernel"] = "rowscan"
-        with pytest.raises(ConfigError, match="unknown job spec fields"):
-            JobSpec.from_json(spec)
 
-    def test_job_spec_round_trips_kernel(self):
-        # The wire format carries no kernel: a spec round-trips without
-        # one, the pipeline config it builds has none, and a spec that
-        # names one is refused rather than silently dropped.
+    def test_job_spec_round_trips_kernel(self, tmp_path):
+        # The wire format carries no kernel, executor or workers: a spec
+        # round-trips without them, the pipeline config it builds has
+        # none, and a spec file that names one is refused rather than
+        # silently dropped.
         spec = JobSpec(seq0="a.fa", seq1="b.fa")
         wire = spec.to_json()
-        assert "kernel" not in wire
         assert JobSpec.from_json(wire) == spec
-        assert not hasattr(spec.pipeline_config(n=4096), "kernel")
-        wire["kernel"] = "diagonal"
-        with pytest.raises(ConfigError, match="unknown job spec fields"):
-            JobSpec.from_json(wire)
+        for field, value in RETIRED_KNOBS:
+            assert field not in wire
+            assert not hasattr(spec.pipeline_config(n=4096), field)
+            spec_file = tmp_path / f"{field}.json"
+            spec_file.write_text(json.dumps([{**wire, field: value}]))
+            with pytest.raises(ConfigError, match="unknown job spec fields"):
+                load_specs(spec_file)
 
 
 class TestBenchLedger:
@@ -302,11 +253,11 @@ class TestBenchLedger:
 
     def test_build_refuses_unknown_backends(self):
         with pytest.raises(ConfigError, match="refuses to report"):
-            build_ledger(["8x8"], ["rowscan", "cuda"], workers=1, repeats=1)
+            build_ledger(["8x8"], ["rowscan", "cuda"], repeats=1)
 
     def test_measured_entry_validates(self):
         ledger = build_ledger(["48x40", "3x8x8"], ["rowscan", "batched"],
-                              workers=1, repeats=1)
+                              repeats=1)
         validate_ledger(ledger)
         entry = ledger["workloads"]["48x40"]
         assert entry["cells"] == 48 * 40

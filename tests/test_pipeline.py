@@ -133,14 +133,6 @@ class TestConfigSweeps:
                 scores.add(CUDAlign(config).run(s0, s1).best_score)
         assert len(scores) == 1
 
-    def test_workers_do_not_change_result(self, rng):
-        s0, s1 = make_pair(rng, 350, 320)
-        serial, config = run_small(s0, s1)
-        parallel = CUDAlign(dataclasses.replace(config, workers=4)).run(s0, s1)
-        assert parallel.best_score == serial.best_score
-        np.testing.assert_array_equal(parallel.alignment.ops,
-                                      serial.alignment.ops)
-
 
 class TestPropertyBased:
     @settings(max_examples=25, deadline=None)

@@ -15,6 +15,7 @@ import pytest
 
 from repro.align.scoring import PAPER_SCHEME, ScoringScheme
 from repro.errors import ConfigError
+from repro.integrity import codec
 from repro.sequences import homologous_pair, write_fasta
 from repro.sequences.catalog import CatalogEntry
 from repro.service import (
@@ -72,7 +73,7 @@ class TestJobSpec:
         p0, p1 = fasta_pair
         # PipelineConfig owns the rule; the spec probes it on construction.
         with pytest.raises(ConfigError):
-            JobSpec(seq0=p0, seq1=p1, workers=0)
+            JobSpec(seq0=p0, seq1=p1, checkpoint_every_rows=0)
         with pytest.raises(ConfigError):
             JobSpec(seq0=p0, seq1=p1, block_rows=0)
 
@@ -101,12 +102,12 @@ class TestJobSpec:
 class TestCache:
     def test_fingerprint_ignores_execution_knobs(self):
         base = JobSpec(catalog="162Kx172K")
-        threaded = JobSpec(catalog="162Kx172K", workers=4,
-                           checkpoint_every_rows=None)
+        uncheckpointed = JobSpec(catalog="162Kx172K",
+                                 checkpoint_every_rows=None)
         coarser = JobSpec(catalog="162Kx172K", block_rows=32)
         n = 4096
         assert (config_fingerprint(base.pipeline_config(n))
-                == config_fingerprint(threaded.pipeline_config(n)))
+                == config_fingerprint(uncheckpointed.pipeline_config(n)))
         assert (config_fingerprint(base.pipeline_config(n))
                 != config_fingerprint(coarser.pipeline_config(n)))
 
@@ -190,6 +191,29 @@ class TestJobQueue:
         assert recovered.corrupt_records == 1    # the torn line
         _, events, _ = replay_journal(path)
         assert events[-1]["event"] == "recovered"
+
+    def test_retired_spec_fields_still_replay(self, tmp_path):
+        # Every spec an older version journalled carries fields this one
+        # retired (``kernel``, ``executor``, ``workers``).  Replay and
+        # recovery drop them instead of refusing the root; a spec file or
+        # POST body naming one is still an unknown field.
+        path = tmp_path / JOURNAL_NAME
+        old = JobSpec(job_id="old", catalog="162Kx172K").to_json()
+        old.update(kernel="rowscan", executor="serial", workers=1)
+        codec.append_journal_record(path, {
+            "event": "submitted", "job_id": "old", "time": 1.0,
+            "spec": old, "priority": 0})
+        codec.append_journal_record(path, {
+            "event": "started", "job_id": "old", "time": 2.0, "attempt": 1})
+        [record], _, corrupt = replay_journal(path)
+        assert corrupt == 0
+        assert record.spec == JobSpec(job_id="old", catalog="162Kx172K")
+        assert record.state == JobState.RUNNING
+        recovered = JobQueue.recover(path)
+        assert recovered.get("old").state == JobState.PENDING
+        assert recovered.next_pending().job_id == "old"
+        with pytest.raises(ConfigError, match="unknown job spec fields"):
+            JobSpec.from_json(old)
 
     def test_recover_missing_journal_is_empty(self, tmp_path):
         queue = JobQueue.recover(tmp_path / "nope" / JOURNAL_NAME)

@@ -225,18 +225,6 @@ class TestStage3:
         run_stage3(s0, s1, config, sca, stage2)
         assert sca.bytes_used == 0
 
-    def test_workers_agree_with_serial(self, pair):
-        import dataclasses
-        s0, s1 = pair
-        config = config_for(pair, sra_rows=6)
-        serial = self.run123(pair)[3]
-        config2 = dataclasses.replace(config, workers=3)
-        sra, sca = stores(config2)
-        stage1 = run_stage1(s0, s1, config2, sra)
-        stage2 = run_stage2(s0, s1, config2, sra, sca, stage1)
-        parallel = run_stage3(s0, s1, config2, sca, stage2)
-        assert parallel.crosspoints == serial.crosspoints
-
 
 class TestStage4:
     def chain_for(self, pair, config):

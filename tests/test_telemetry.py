@@ -67,18 +67,6 @@ class TestSpans:
         assert record["attributes"] == {"m": 4, "cells": 12}
         assert record["duration"] == record["end"] - record["start"]
 
-    def test_attach_adopts_parent(self):
-        sink = InMemorySink()
-        tracer = Tracer((sink,))
-        with tracer.span("stage") as stage:
-            pass
-        with tracer.attach(stage):
-            with tracer.span("child"):
-                pass
-        child = sink.find("child")[0]
-        assert child.parent_id == stage.span_id
-        assert child.depth == stage.depth + 1
-
 
 class TestMetrics:
     def test_counter_gauge_histogram(self):
@@ -203,8 +191,6 @@ class TestNullTelemetry:
     def test_null_is_free_and_complete(self):
         with NULL_TELEMETRY.span("anything", m=1) as span:
             span.set(cells=2)
-        with NULL_TELEMETRY.attach(span):
-            pass
         NULL_TELEMETRY.metrics.counter("x").add(5)
         NULL_TELEMETRY.metrics.gauge("y").set(1)
         assert NULL_TELEMETRY.metrics.snapshot() == {}
