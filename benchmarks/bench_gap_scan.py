@@ -21,6 +21,13 @@ module's constants by name:
 * ``max(X,0)`` / ``max(X,zero)`` — the local zero floor against the
   scalar ``0`` and against an all-zero array of the row's shape.
 
+A second table times one tracking local row of a pruning sweep by its
+prunable part ``P`` (the columns right of the fresh-start region): the
+full-row path, against the windowed path over the ``n - P`` columns
+left plus its live test.  ``*`` marks the first ``P`` at or above
+``_PRUNE_MIN_WIDTH``, where a row starts to take the window; the
+windowed path should win there and lose at ``P`` = 0.
+
 ``*`` marks what ``rowscan``'s rule picks: every ``k`` up to the step
 cap (one step per ``_SCAN_MIN_WIDTH`` columns plus one, at most
 ``_SCAN_MAX_STEPS``), and for an unbounded row ``serial`` below the cell
@@ -50,6 +57,7 @@ if __package__ in (None, ""):
 import numpy as np
 
 from repro.align import rowscan
+from repro.align.scoring import PAPER_SCHEME
 from repro.constants import SCORE_DTYPE
 
 DEFAULT_WIDTHS = (1024, 1536, 2048, 2560, 3072, 4096, 6144, 8192, 12288,
@@ -149,6 +157,68 @@ def render(rows: list[dict], max_steps: int) -> str:
     return "\n".join(lines)
 
 
+#: Prunable parts of the pruning table (those below the row's width).
+PRUNABLE = (0, 1024, 2048, 3072, 4096, 6144, 8192, 12288)
+#: Rows swept per timed sample of the pruning table.
+_ROWS = 64
+
+
+def measure_prune(width: int, repeats: int) -> dict:
+    """Median microseconds per row: the full-row path (``full``) and the
+    windowed path with ``P`` columns pruned, on a random local pair."""
+    rng = np.random.default_rng(width)
+    codes0 = rng.integers(0, 4, (repeats + 1) * _ROWS * (len(PRUNABLE) + 1),
+                          dtype=np.uint8)
+    codes1 = rng.integers(0, 4, width - 1, dtype=np.uint8)
+    n = width - 1
+    full = rowscan.RowSweeper(codes0, codes1, PAPER_SCHEME, local=True,
+                              track_best=True)
+    # A bound past any reachable score leaves no fresh-start region, so
+    # each row's window is the forced live range [1, n - P].
+    pruned = rowscan.RowSweeper(codes0, codes1, PAPER_SCHEME, local=True,
+                                track_best=True, prune_bound=1 << 29)
+    parts = [p for p in PRUNABLE if p < n]
+    samples: dict = {"full": [], **{p: [] for p in parts}}
+
+    def unpruned():
+        for _ in range(_ROWS):
+            full._advance(1)
+
+    def windowed(p):
+        for _ in range(_ROWS):
+            pruned._live = (1, n - p - 1)
+            pruned._dirty = (1, n - p)
+            pruned._advance(1)
+
+    saved = rowscan._PRUNE_MIN_WIDTH
+    rowscan._PRUNE_MIN_WIDTH = 0
+    try:
+        for _ in range(repeats):
+            samples["full"].append(timeit.timeit(unpruned, number=1))
+            for p in parts:
+                samples[p].append(timeit.timeit(lambda: windowed(p),
+                                                number=1))
+    finally:
+        rowscan._PRUNE_MIN_WIDTH = saved
+    row = {key: statistics.median(runs) / _ROWS * 1e6
+           for key, runs in samples.items()}
+    row["width"] = width
+    return row
+
+
+def render_prune(rows: list[dict]) -> str:
+    head = ["row", "full", *(f"P={p:,}" for p in PRUNABLE)]
+    lines = ["| " + " | ".join(head) + " |", "|" + "---|" * len(head)]
+    for row in rows:
+        first = min((p for p in PRUNABLE if p in row
+                     and p >= rowscan._PRUNE_MIN_WIDTH), default=None)
+        cells = [f"{row['width']:,}", f"{row['full']:.1f}"]
+        cells += [f"{row[p]:.1f}" + ("*" if p == first else "")
+                  if p in row else "" for p in PRUNABLE]
+        lines.append("| " + " | ".join(cells) + " |")
+    return "\n".join(lines)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--widths", nargs="+", type=int,
@@ -159,6 +229,9 @@ def main(argv=None) -> int:
     shapes = [(w,) for w in args.widths] + list(LANE_SHAPES)
     rows = [measure(shape, args.max_steps, args.repeats) for shape in shapes]
     print(render(rows, args.max_steps))
+    print()
+    print(render_prune([measure_prune(w, args.repeats)
+                        for w in args.widths]))
     return 0
 
 

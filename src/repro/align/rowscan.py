@@ -66,6 +66,35 @@ because NumPy's int32 ``maximum`` has a SIMD loop for two arrays but
 not for an array and a scalar (4 µs against 16 µs on a 20K-column row,
 same host).
 
+A pruning sweep (Stage 1's, through ``prune_bound``) computes each
+wide row only over a *window* that can still hold an optimal path.  No
+path through cell ``(i, j)`` gains more than ``match * min(m-i, n-j)``
+after it, so a cell with
+
+    H(i,j) + match * min(m-i, n-j)  <  T = max(best so far, L)
+
+lies on no optimal path when ``L`` is the exact score of some
+alignment.  Such a cell is *dead*: it reads ``H = 0`` and
+``E = F = -inf``, never above its true values.  A cell on an optimal
+path passes the test, so by induction along the path it is computed
+exactly; the best score, its cell, and every special-row cell an
+optimal path crosses keep their unpruned values.  Row ``i``'s window
+runs from the previous row's first live cell to one past its last,
+widened to ``[1, z]`` while a fresh alignment starting in the row can
+still reach ``T`` (columns ``j <= z``), and past its right end by the
+closed-form horizontal gap ``E(b+k) = e0 - (k-1) * G_ext`` for as long
+as that could stay live.  Columns that leave the window are filled dead.
+The live test is two compares into one preallocated mask — the first
+live cell against ``match * (m-i)``, the last against ``match * (n-j)``,
+each a valid bound and together the exact one — and two ``argmax``
+calls; nothing is allocated per row.  A row whose prunable part (the
+columns right of ``z``) is narrower than ``_PRUNE_MIN_WIDTH`` keeps the
+full-row path with no test: a narrow matrix never pays per-row
+bookkeeping, and a short local hit only in its last rows, where no
+fresh start can still reach the best score.  The width is where
+``benchmarks/bench_gap_scan.py``'s pruning table has the windowed path
+catch up with the full row.
+
 The row body lives in exactly one place, :func:`row_step`, which runs
 over arrays of shape ``(..., n+1)``: the same code advances one pair
 (:class:`RowSweeper`), a ``(K, n+1)`` block of lanes
@@ -110,6 +139,9 @@ _SCAN_MAX_STEPS = 10
 _BLOCK_MIN_CELLS = 12288
 #: Doubling steps per round of the block scan (blocks of ``2**s`` columns).
 _BLOCK_STEPS = 2
+#: Fewest prunable columns (right of the fresh-start region) a row of a
+#: pruning sweep needs before it takes the window and its live test.
+_PRUNE_MIN_WIDTH = 4096
 
 
 def _doubling(a, b, steps):
@@ -270,6 +302,13 @@ class RowSweeper:
             every row (matching against an orthogonal special line).
         save_rows: absolute row indices whose (H, F) rows are snapshotted
             (the special rows flushed to the SRA).
+        prune_bound: the exact score of some alignment of the pair, a
+            lower bound on the best local score (Stage 1's chain bound).
+            Rows whose prunable part is wide are then computed over
+            their window only (module docstring); a saved row is exact
+            on every cell an optimal path crosses and at or below the
+            unpruned row elsewhere.  Needs ``local`` and ``track_best``,
+            and no taps or watch value.
         tracer: optional :class:`repro.telemetry.Tracer`; when set, every
             :meth:`advance` call is wrapped in a ``sweep.advance`` span
             (rows/cells attributes).  ``None`` (the default) keeps the
@@ -283,6 +322,7 @@ class RowSweeper:
                  watch_value: int | None = None,
                  tap_columns: np.ndarray | None = None,
                  save_rows: np.ndarray | None = None,
+                 prune_bound: int | None = None,
                  tracer=None) -> None:
         self.tracer = tracer
         self.codes0 = np.ascontiguousarray(codes0, dtype=np.uint8)
@@ -303,6 +343,7 @@ class RowSweeper:
         self.n = int(self.codes1.size)
         self.i = 0  # rows completed (0 = only the boundary row exists)
         self.cells = 0
+        self.cells_skipped = 0  # dead cells a pruning sweep never computed
 
         gext = scheme.gap_ext
         gfirst = scheme.gap_first
@@ -330,8 +371,6 @@ class RowSweeper:
             self.H[1:] = self.E[1:]
             if start_gap == TYPE_GAP_S1:
                 self.F[0] = 0
-        self._col0_F = self.F[0]
-        self._col0_H = self.H[0]
 
         self.track_best = bool(track_best)
         self.best = int(self.H.max()) if track_best else 0
@@ -376,16 +415,43 @@ class RowSweeper:
         # repro.align.profile — and therefore read-only.
         self._sub_lut = query_profile(scheme, self.codes1)
 
+        self.prune_bound = None if prune_bound is None else int(prune_bound)
+        if self.prune_bound is not None:
+            if (not (self.local and self.track_best) or self._taps is not None
+                    or watch_value is not None):
+                raise ConfigError("a pruning sweep is local, tracks its best "
+                                  "and has no taps or watch value")
+            # Row 0 reads dead (H = 0, E = F = -inf): no cell is live yet
+            # and none holds a computed value.  (lo, hi) = (n + 1, 0) is
+            # the empty range.
+            self._live = self._dirty = (n + 1, 0)
+            # match * (n - j): what a path through column j can still gain
+            # at most (when it is the nearer edge).
+            self._rest = (n - self._idx) * SCORE_DTYPE(scheme.match)
+            self._need = np.empty(n + 1, dtype=SCORE_DTYPE)
+            self._need_for = None   # the threshold _need was built for
+            self._mask = np.empty(n + 1, dtype=bool)
+            # Reversed views, for the scan from a window's right end.
+            self._H_rev, self._need_rev = self.H[::-1], self._need[::-1]
+            self._set_full_until()
+
     # ------------------------------------------------------------------
     @property
     def done(self) -> bool:
         return self.i >= self.m
 
+    @property
+    def cells_computed(self) -> int:
+        """Cells actually computed: :attr:`cells` less the dead cells a
+        pruning sweep skipped."""
+        return self.cells - self.cells_skipped
+
     def advance(self, nrows: int | None = None) -> int:
         """Process up to ``nrows`` further rows; returns the count processed.
 
-        Each row is one :func:`row_step`; see the module docstring for
-        the E scan and which rows take which of its three paths.
+        Each row is one :func:`row_step` — over the row's window only,
+        for a pruning sweep's wide rows; see the module docstring for the
+        E scan, which rows take which of its three paths, and the window.
         """
         if nrows is None:
             nrows = self.m - self.i
@@ -409,24 +475,32 @@ class RowSweeper:
         egap = self._egap
         X, T = self._X, self._T
         zero = self._zero
+        prune = self.prune_bound is not None
         stop = self.i + nrows
         while self.i < stop:
             i = self.i + 1
-            bound = row_step(H, F, H, E, F, X, T,
-                             self._sub_lut[self.codes0[i - 1]],
-                             gext, gfirst, ext_ramp, egap, zero)
+            sub = self._sub_lut[self.codes0[i - 1]]
             self.i = i
-
-            if self.track_best or self.watch_value is not None:
-                row_max = int(H.max()) if bound is None else bound
-                if self.track_best and row_max > self.best:
-                    self.best = row_max
-                    self.best_pos = (i, int(np.argmax(H)))
-                if (self.watch_value is not None and self.watch_hit is None
-                        and row_max >= self.watch_value):
-                    hits = np.flatnonzero(H == self.watch_value)
-                    if hits.size:
-                        self.watch_hit = (i, int(hits[0]))
+            if prune and i > self._full_until:
+                self._window_row(i, sub, gext, gfirst)
+            else:
+                if prune:
+                    self._live = self._dirty = (1, self.n)
+                bound = row_step(H, F, H, E, F, X, T, sub, gext, gfirst,
+                                 ext_ramp, egap, zero)
+                if self.track_best or self.watch_value is not None:
+                    row_max = int(H.max()) if bound is None else bound
+                    if self.track_best and row_max > self.best:
+                        self.best = row_max
+                        self.best_pos = (i, int(np.argmax(H)))
+                        if prune:
+                            self._set_full_until()
+                    if (self.watch_value is not None
+                            and self.watch_hit is None
+                            and row_max >= self.watch_value):
+                        hits = np.flatnonzero(H == self.watch_value)
+                        if hits.size:
+                            self.watch_hit = (i, int(hits[0]))
             if self._taps is not None:
                 self.tap_H[i] = H[self._taps]
                 self.tap_E[i] = E[self._taps]
@@ -434,6 +508,100 @@ class RowSweeper:
                 self.saved[i] = (H.copy(), F.copy())
         self.cells += nrows * self.n
         return nrows
+
+    def _set_full_until(self) -> None:
+        """Find the last row that keeps the full-row path at the current
+        threshold.  A fresh alignment whose first match lies in row ``i``
+        reaches ``thr`` only from columns ``1..z``, with ``z = n - q`` while
+        ``m - i >= q`` and no column after that; the row's prunable part
+        is ``n - z``.  It only grows as ``i`` and ``thr`` do, so once a
+        row takes the window every later one does."""
+        thr = max(self.best, self.prune_bound)
+        q = -(-thr // self.scheme.match) - 1
+        if self.n < _PRUNE_MIN_WIDTH:
+            self._full_until = self.m
+        elif q >= _PRUNE_MIN_WIDTH:
+            self._full_until = 0
+        else:
+            self._full_until = self.m - max(q, 0)
+
+    def _window_row(self, i: int, sub, gext, gfirst) -> None:
+        """Row ``i`` of a pruning sweep, computed over its window only
+        (module docstring)."""
+        n, match = self.n, self.scheme.match
+        thr = max(self.best, self.prune_bound)
+        rest = match * (self.m - i)
+        q = -(-thr // match) - 1
+        z = n - max(q, 0) if self.m - i >= q else 0
+        H, E, F = self.H, self.E, self.F
+        lo, hi = self._live
+        a, b = lo, min(n, hi + 1)
+        if z > 0:
+            a, b = 1, max(b, z)
+        dlo, dhi = self._dirty
+        if a > b:
+            self._kill(dlo, dhi)
+            self._live = self._dirty = (n + 1, 0)
+            self.cells_skipped += n
+            return
+        # Columns a-1 .. b: row_step writes column a-1 dead (H = 0,
+        # E = F = -inf), the boundary of a local row.
+        w = b - a + 2
+        Hs, Fs = H[a - 1:b + 1], F[a - 1:b + 1]
+        row_max = row_step(Hs, Fs, Hs, E[a - 1:b + 1], Fs, self._X[:w],
+                           self._T[:w], sub[a - 1:b], gext, gfirst,
+                           self._ext_ramp[:w], self._egap[:w - 1],
+                           self._zero[:w])
+        e = b
+        if b < n:
+            # E past the window, sourced from the window alone, falls by
+            # G_ext per column: extend while it could stay live.
+            gap_ext = self.scheme.gap_ext
+            e0 = max(int(E[b]) - gap_ext, int(H[b]) - self.scheme.gap_first)
+            room = e0 + rest - thr
+            if room >= 0:
+                e = min(n, b + room // gap_ext + 1)
+                ext = slice(b + 1, e + 1)
+                np.subtract(e0, self._ext_ramp[:e - b], out=E[ext])
+                np.maximum(E[ext], 0, out=H[ext])
+                F[ext] = NEG_INF
+        if dlo < a - 1:
+            self._kill(dlo, a - 2)
+        if dhi > e:
+            self._kill(e + 1, dhi)
+        self._dirty = (a, e)
+        self.cells_skipped += n - (e - a + 1)
+
+        # The extension never tops H[b], so the window's maximum is the
+        # row's.
+        Hw = H[a:e + 1]
+        if row_max is None:
+            row_max = int(Hw.max())
+        if row_max > self.best:
+            self.best = row_max
+            self.best_pos = (i, a + int(Hw.argmax()))
+        # The first live cell against the row bound match * (m - i), the
+        # last one (scanning a reversed view) against match * (n - j):
+        # each is a valid bound, and together they give the exact test.
+        self._live = (n + 1, 0)
+        mask = self._mask[:e - a + 1]
+        np.greater_equal(Hw, thr - rest, out=mask)
+        first = int(mask.argmax())
+        if mask[first]:
+            if self._need_for != thr:
+                np.subtract(thr, self._rest, out=self._need)
+                self._need_for = thr
+            np.greater_equal(self._H_rev[n - e:n + 1 - a],
+                             self._need_rev[n - e:n + 1 - a], out=mask)
+            last = e - int(mask.argmax())
+            if mask[e - last] and a + first <= last:
+                self._live = (a + first, last)
+
+    def _kill(self, lo: int, hi: int) -> None:
+        """Make columns ``lo..hi`` read dead."""
+        self.H[lo:hi + 1] = 0
+        self.E[lo:hi + 1] = NEG_INF
+        self.F[lo:hi + 1] = NEG_INF
 
     def run(self) -> "RowSweeper":
         """Process all remaining rows and return self (convenience)."""
@@ -446,12 +614,17 @@ class RowSweeper:
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
         """Serializable snapshot of the sweep's linear-space state."""
-        return {
+        state = {
             "i": self.i, "cells": self.cells,
+            "cells_skipped": self.cells_skipped,
             "H": self.H.copy(), "E": self.E.copy(), "F": self.F.copy(),
             "best": self.best, "best_i": self.best_pos[0],
             "best_j": self.best_pos[1],
         }
+        if self.prune_bound is not None:
+            state["bound"] = self.prune_bound
+            state["window"] = np.array(self._live + self._dirty)
+        return state
 
     def load_state(self, state: dict) -> None:
         """Resume from a snapshot taken by :meth:`state_dict`.
@@ -472,5 +645,15 @@ class RowSweeper:
             getattr(self, name)[:] = arr
         self.i = i
         self.cells = int(state["cells"])
+        self.cells_skipped = int(state.get("cells_skipped", 0))
         self.best = int(state["best"])
         self.best_pos = (int(state["best_i"]), int(state["best_j"]))
+        if self.prune_bound is not None:
+            if "window" in state:
+                lo, hi, dlo, dhi = (int(v) for v in state["window"])
+                self._live, self._dirty = (lo, hi), (dlo, dhi)
+                self.prune_bound = int(state["bound"])
+            else:
+                # An unpruned snapshot: every column holds its exact value.
+                self._live = self._dirty = (1, self.n)
+            self._set_full_until()

@@ -16,7 +16,10 @@ sweep, so a bad block costs wall-clock, not the run.
 
 The file records matrix state, not schedule: it is the
 :class:`~repro.align.rowscan.RowSweeper`'s ``state_dict``, and
-``load_state`` restores it on any sweep of the same matrix.
+``load_state`` restores it on any sweep of the same matrix.  A pruning
+sweep's snapshot also carries its window and lower bound, so a resumed
+run prunes exactly as the interrupted one would have; a version-1
+checkpoint, which predates pruning, resumes as a full window.
 """
 
 from __future__ import annotations
@@ -31,8 +34,14 @@ from repro.errors import IntegrityError, StorageError
 from repro.integrity import codec
 from repro.align.rowscan import RowSweeper
 
-#: Format version stamped into every checkpoint.
-CHECKPOINT_VERSION = 1
+#: Format version stamped into every checkpoint.  Version 2 added
+#: ``cells_skipped`` and a pruning sweep's ``window`` and ``bound``.
+CHECKPOINT_VERSION = 2
+#: Versions :func:`load_checkpoint` reads.
+_READABLE_VERSIONS = (1, 2)
+#: Keys every checkpoint holds, and keys only some do.
+_REQUIRED = ("i", "cells", "H", "E", "F", "best", "best_i", "best_j")
+_OPTIONAL = ("cells_skipped", "window", "bound")
 
 
 def save_checkpoint(path: str | os.PathLike, sweeper: RowSweeper,
@@ -80,7 +89,7 @@ def load_checkpoint(path: str | os.PathLike, m: int, n: int) -> dict | None:
         return None
     try:
         with np.load(io.BytesIO(payload)) as data:
-            if int(data["version"]) != CHECKPOINT_VERSION:
+            if int(data["version"]) not in _READABLE_VERSIONS:
                 raise StorageError(
                     f"checkpoint {path} has unsupported version "
                     f"{int(data['version'])}")
@@ -88,8 +97,9 @@ def load_checkpoint(path: str | os.PathLike, m: int, n: int) -> dict | None:
                 raise StorageError(
                     f"checkpoint {path} belongs to a {int(data['m'])} x "
                     f"{int(data['n'])} comparison, not {m} x {n}")
-            state = {key: data[key] for key in
-                     ("i", "cells", "H", "E", "F", "best", "best_i", "best_j")}
+            state = {key: data[key] for key in _REQUIRED}
+            state.update((key, data[key]) for key in _OPTIONAL
+                         if key in data.files)
             for key in ("H", "E", "F"):
                 if state[key].shape != (n + 1,):
                     raise IntegrityError(

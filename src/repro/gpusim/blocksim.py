@@ -101,8 +101,10 @@ def simulate_stage1(s0: Sequence, s1: Sequence, scheme: ScoringScheme,
     every real H is >= 0 in a local sweep, so downstream values are only
     ever *under*-estimated and the dominated paths stay dominated — the
     final best score is provably unchanged (and asserted in tests).
-    Pruning is incompatible with special-row flushing (a pruned row would
-    be incomplete), matching CUDAlign 3.0's stage-1-only use.
+    The model does not flush special rows while it prunes (a pruned tile
+    would leave its rows incomplete).  The pipeline's own Stage 1 prunes
+    cells and still flushes full-width rows, whose dead cells it fills
+    (:mod:`repro.core.stage1`).
     """
     m, n = len(s0), len(s1)
     grid = grid.shrink_to(n, device)

@@ -155,9 +155,11 @@ class AlignmentService:
     def run(self, max_jobs: int | None = None) -> dict[str, Any]:
         """Process the queue until drained (or ``max_jobs`` finished).
 
-        With ``max_jobs``, dispatching stops once that many jobs reached
-        a terminal state this call; in-flight attempts are drained, the
-        rest stay pending in the journal for a later ``resume`` run.
+        With ``max_jobs``, no round starts more jobs than that budget
+        has left after the jobs finished and in flight this call, so at
+        most ``max_jobs`` reach a terminal state; in-flight attempts are
+        drained, the rest stay pending in the journal for a later
+        ``resume`` run.
         Returns the run summary (also embedded in the service manifest).
         """
         if max_jobs is not None and max_jobs < 1:
@@ -167,7 +169,9 @@ class AlignmentService:
         while True:
             capped = max_jobs is not None and finished_this_run >= max_jobs
             if not capped:
-                finished_this_run += self._dispatch_round()
+                budget = (None if max_jobs is None else max_jobs
+                          - finished_this_run - self.pool.jobs_in_flight)
+                finished_this_run += self._dispatch_round(budget)
                 capped = max_jobs is not None and finished_this_run >= max_jobs
             if self.pool.in_flight == 0 and (capped or self.queue.depth == 0):
                 break
@@ -262,9 +266,13 @@ class AlignmentService:
             self._disk_evicted = False
         return not paused
 
-    def _dispatch_round(self) -> int:
+    def _dispatch_round(self, budget: int | None = None) -> int:
         """Fill free worker slots; serve cache hits. Returns jobs finished
         instantly (cached).
+
+        With ``budget``, the round starts at most that many jobs, cache
+        hits and group members included; a group the budget caps to one
+        member dispatches solo.
 
         With batching enabled, qualified small jobs are held back while
         the round scans the queue and then dispatched as one coalesced
@@ -280,7 +288,8 @@ class AlignmentService:
         skip: set[str] = set()
         batch: list[tuple[JobRecord, str]] = []
         batch_keys: set[str] = set()
-        while self.pool.free_slots > 0:
+        taken = 0
+        while self.pool.free_slots > 0 and (budget is None or taken < budget):
             record = self.queue.next_pending(skip)
             if record is None:
                 break
@@ -291,6 +300,7 @@ class AlignmentService:
                 # when the twin lands.
                 skip.add(record.job_id)
                 continue
+            taken += 1
             hit = self.cache.get(key)
             self.telemetry.metrics.counter(
                 "service.cache_hits" if hit is not None

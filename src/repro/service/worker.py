@@ -515,6 +515,11 @@ class WorkerPool:
     def in_flight(self) -> int:
         return len(self._running)
 
+    @property
+    def jobs_in_flight(self) -> int:
+        """Jobs the running attempts hold: every member of a group."""
+        return sum(len(a.group) if a.group else 1 for a in self._running)
+
     def pipes(self) -> list:
         """Every running attempt's result pipe, as a snapshot list.
 

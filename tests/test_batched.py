@@ -235,6 +235,22 @@ class TestAllocationDiet:
         assert not sweep._zero.flags.writeable
         self._assert_advance_allocates_nothing(sweep)
 
+    def test_windowed_advance_allocates_no_row_temporaries(self, rng):
+        """The same guard on a pruning sweep's windowed rows.  Rows of a
+        period-8 repeat against its own prefix stay live on every
+        eighth diagonal, so each window spans nearly the whole row and a
+        per-row temporary of the window would trip the wire."""
+        unit = random_dna(8, rng, "unit").codes
+        codes1 = np.tile(unit, N_WIDE // 8)
+        sweep = RowSweeper(codes1[:48], codes1, PAPER_SCHEME, local=True,
+                           track_best=True, prune_bound=40)
+        sweep.advance(10)
+        assert sweep._full_until < sweep.i
+        self._assert_advance_allocates_nothing(sweep)
+        lo, hi = sweep._live
+        assert hi - lo > N_WIDE // 2
+        assert sweep.cells_computed < sweep.cells
+
     def test_global_advance_allocates_no_row_temporaries(self, rng):
         """The same guard on global rows, which take the block scan."""
         sweep = self._wide_sweep(rng, local=False)

@@ -623,6 +623,29 @@ class TestAlignmentService:
         assert rc == 0
         assert "first-dup" in out and "cached" in out
 
+    def test_max_jobs_caps_coalesced_groups(self, tmp_path):
+        """Three jobs that would coalesce into one group: ``max_jobs=1``
+        starts one of them (its group capped to a solo dispatch) and
+        leaves two pending for the next run."""
+        service = AlignmentService(tmp_path / "svc", workers=2)
+        try:
+            service.submit_many(
+                JobSpec(job_id=f"j{seed}", catalog="162Kx172K", scale=8192,
+                        seed=seed, block_rows=32) for seed in range(3))
+            first = service.run(max_jobs=1)
+            states = [service.queue.get(f"j{seed}").state
+                      for seed in range(3)]
+            assert states.count(JobState.SUCCEEDED) == 1
+            assert states.count(JobState.PENDING) == 2
+            assert first["succeeded"] == 1
+            assert "kernel.batch.dispatches" not in dict(
+                service.telemetry.metrics.snapshot())
+            service.run()
+            assert all(service.queue.get(f"j{seed}").state
+                       == JobState.SUCCEEDED for seed in range(3))
+        finally:
+            service.close()
+
     def test_deadline_timeout_fails_job(self, fasta_pair, tmp_path):
         p0, p1 = fasta_pair
         service = AlignmentService(tmp_path / "svc")
