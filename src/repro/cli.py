@@ -79,7 +79,7 @@ def _add_batching_args(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--batch-max-jobs", type=int, default=16,
                        help="most queued small jobs coalesced into one "
                             "fused worker dispatch (default: 16; "
-                            "0 disables coalescing)")
+                            "1 disables coalescing)")
     group.add_argument("--batch-max-cells", type=int, default=1 << 18,
                        help="a job joins a coalesced dispatch only when its "
                             "DP matrix is at or under this many cells "
@@ -90,8 +90,6 @@ def _batching(args: argparse.Namespace):
     """Build the BatchConfig shared by ``batch`` and ``serve``."""
     from repro.service import BatchConfig
 
-    if args.batch_max_jobs == 0:
-        return BatchConfig(enabled=False)
     return BatchConfig(max_jobs=args.batch_max_jobs,
                        max_cells=args.batch_max_cells)
 
@@ -244,12 +242,12 @@ def cmd_batch(args: argparse.Namespace) -> int:
         print("error: give a spec file, or --resume to continue a journal",
               file=sys.stderr)
         return 2
+    supervisor, batching = _supervisor(args), _batching(args)
     trace_sink = JsonLinesSink(args.trace) if args.trace else None
     sinks = (trace_sink,) if trace_sink is not None else ()
     service = AlignmentService(args.root, workers=args.workers,
                                resume=args.resume, sinks=sinks,
-                               supervisor=_supervisor(args),
-                               batching=_batching(args))
+                               supervisor=supervisor, batching=batching)
     try:
         if args.specs is not None:
             service.submit_many(load_specs(args.specs))
@@ -360,12 +358,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.gateway import serve as serve_gateway
     from repro.telemetry import JsonLinesSink
 
+    supervisor, batching = _supervisor(args), _batching(args)
     trace_sink = JsonLinesSink(args.trace) if args.trace else None
     sinks = (trace_sink,) if trace_sink is not None else ()
     dispatcher = ServiceDispatcher(args.root, workers=args.workers,
                                    resume=args.resume, sinks=sinks,
-                                   supervisor=_supervisor(args),
-                                   batching=_batching(args))
+                                   supervisor=supervisor, batching=batching)
     policy = GatewayPolicy(
         max_active_per_tenant=args.tenant_max_active,
         rate_per_tenant=args.tenant_rate,

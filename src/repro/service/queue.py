@@ -332,6 +332,7 @@ def replay_journal(journal_path: str | os.PathLike) -> JournalReplay:
         if kind == "started":
             record.state = JobState.RUNNING
             record.attempts = event.get("attempt", record.attempts + 1)
+            record.not_before = None    # as mark_running clears it
             if record.started_unix is None:
                 record.started_unix = event.get("time")
         elif kind == "attempt_failed":

@@ -15,6 +15,9 @@ failed attempts are retried up to ``spec.max_retries`` times — resuming
 Stage 1 from the job's on-disk checkpoint — and attempts that overrun
 ``spec.deadline_seconds`` are terminated and count as failures.
 
+Every worker attempt runs a group of one or more jobs; the
+micro-batcher (:class:`BatchConfig`) only decides which jobs share one.
+
 Everything is observable through the PR-1 telemetry machinery: the
 service keeps ``service.queue_depth`` / ``service.jobs_inflight``
 gauges, hit/miss/retry/timeout counters and a ``service.job_seconds``
@@ -51,30 +54,27 @@ class BatchConfig:
     Small matrices pay more for process dispatch and per-row NumPy
     overhead than for the arithmetic itself — the cost a GPU amortizes
     by fusing many alignments per launch.  The service mirrors that
-    host-side: pending jobs at or under ``max_cells`` DP cells are held
-    back within a dispatch round and sent as *one* worker process whose
-    Stage-1 sweeps run fused through the batched kernel
-    (:func:`repro.align.batched.sweep_batched`).
+    host-side: pending jobs at or under ``max_cells`` DP cells join one
+    worker attempt whose Stage-1 sweeps run fused through the batched
+    kernel (:func:`repro.align.batched.sweep_batched`).
 
     A job qualifies only when the fused sweep is exactly equivalent to
-    its solo run: no per-spec deadline/stall/RSS envelope, no chaos injections, and a first attempt (retries resume
-    from their checkpoint, so they run solo).  Disqualified jobs
-    dispatch normally and are counted under
-    ``kernel.batch.fallback.<reason>``.
+    its solo run: no per-spec deadline/stall/RSS envelope, no chaos
+    injections, and a first attempt (retries resume from their
+    checkpoint, so they run solo).  Disqualified jobs run as a group of
+    their own and are counted under ``kernel.batch.fallback.<reason>``.
 
     Attributes:
-        enabled: master switch (``False`` restores per-job dispatch).
-        max_jobs: most members per coalesced dispatch.
+        max_jobs: most members per attempt; ``1`` turns coalescing off.
         max_cells: a job qualifies when ``m * n`` is at or under this.
     """
 
-    enabled: bool = True
     max_jobs: int = 16
     max_cells: int = 1 << 18
 
     def __post_init__(self) -> None:
-        if self.max_jobs < 2:
-            raise ConfigError("batch max_jobs must be at least 2")
+        if self.max_jobs < 1:
+            raise ConfigError("batch max_jobs must be positive")
         if self.max_cells < 1:
             raise ConfigError("batch max_cells must be positive")
 
@@ -101,7 +101,7 @@ class AlignmentService:
             threshold, retry backoff and the disk-free watchdog.
             Defaults to backoff-only supervision.
         batching: micro-batcher policy (:class:`BatchConfig`) — when
-            queued small jobs coalesce into one fused group dispatch.
+            queued small jobs coalesce into one fused group attempt.
             Defaults to coalescing up to 16 jobs of <= 2^18 cells.
     """
 
@@ -137,7 +137,8 @@ class AlignmentService:
         self.poll_seconds = poll_seconds
         self.batching = batching if batching is not None else BatchConfig()
         self._inflight_keys: dict[str, str] = {}   # cache key -> job_id
-        self._cells: dict[str, int] = {}           # job_id -> m * n
+        # Per-job memos: m * n while pending, attempts until terminal.
+        self._cells: dict[str, int] = {}
         self._attempt_log: dict[str, list[dict[str, Any]]] = {}
         self._disk_evicted = False
 
@@ -206,31 +207,35 @@ class AlignmentService:
 
     def cancel(self, job_id: str) -> bool:
         """Cancel a job: a pending one never runs, a running one is
-        terminated (its attempt produces no outcome and charges no
-        retry budget).  Returns ``False`` when the job is already
-        terminal; raises :class:`ConfigError` for an unknown id.
+        terminated (its attempt charges no retry budget).  Members that
+        already reported settle on their reports.  Returns ``False`` when
+        the job is terminal, its own report included; raises
+        :class:`ConfigError` for an unknown id.
         """
         record = self.queue.find(job_id)
         if record is None:
             raise ConfigError(f"unknown job id {job_id!r}")
-        if record.done:
-            return False
         if record.state == JobState.RUNNING:
-            displaced = self.pool.cancel(job_id)
-            if record.cache_key is not None:
-                self._inflight_keys.pop(record.cache_key, None)
+            reported, displaced = self.pool.cancel(job_id)
+            for outcome in reported:
+                self._settle(outcome)
+            self._inflight_keys.pop(record.cache_key, None)
             for sibling in displaced:
                 # Grouped siblings die with the cancelled job's process;
                 # they were collateral, so requeue them without charging
                 # any ledger (crash=False keeps quarantine honest).
-                if sibling.cache_key is not None:
-                    self._inflight_keys.pop(sibling.cache_key, None)
+                self._inflight_keys.pop(sibling.cache_key, None)
                 self.queue.mark_interrupted(
                     sibling, "displaced: a grouped sibling was cancelled",
                     crash=False)
                 self.telemetry.metrics.counter(
                     "kernel.batch.displaced").add(1)
+        if record.done:
+            self._gauges()
+            return False
         self.queue.mark_cancelled(record)
+        self._cells.pop(job_id, None)
+        self._attempt_log.pop(job_id, None)
         self.telemetry.metrics.counter("service.jobs_cancelled").add(1)
         self._gauges()
         return True
@@ -270,91 +275,82 @@ class AlignmentService:
         """Fill free worker slots; serve cache hits. Returns jobs finished
         instantly (cached).
 
-        With ``budget``, the round starts at most that many jobs, cache
-        hits and group members included; a group the budget caps to one
-        member dispatches solo.
+        A job that qualifies for coalescing joins the round's open group
+        while it has room; any other job opens a group of its own (a
+        disqualified one counts under ``kernel.batch.fallback.<reason>``).
+        A group takes its worker slot when it opens, and the round stops
+        at the first job that finds none, so queue order decides who
+        runs.  The open group dispatches once full or at the round's end.
 
-        With batching enabled, qualified small jobs are held back while
-        the round scans the queue and then dispatched as one coalesced
-        group attempt (``kernel.batch.*`` telemetry).  A qualified job
-        that finds no partner this round dispatches solo
-        (``kernel.batch.fallback.alone``); a held batch that finds no
-        free slot stays pending for the next round — holding back never
-        changes queue state.
+        With ``budget``, the round starts at most that many jobs, cache
+        hits and group members included.
         """
         if not self._disk_ok():
             return 0
-        finished = 0
+        finished = taken = 0
+        slots = self.pool.free_slots
         skip: set[str] = set()
-        batch: list[tuple[JobRecord, str]] = []
-        batch_keys: set[str] = set()
-        taken = 0
-        while self.pool.free_slots > 0 and (budget is None or taken < budget):
+        group: list[JobRecord] = []     # the open group: holds a slot
+        while (group or slots > 0) and (budget is None or taken < budget):
             record = self.queue.next_pending(skip)
             if record is None:
                 break
             key = self._key_for(record)
-            if key in self._inflight_keys or key in batch_keys:
-                # An identical job is running (or held for this round's
-                # batch): hold this one back and serve it from the cache
-                # when the twin lands.
+            if key in self._inflight_keys:
+                # An identical job is running (or grouped this round):
+                # hold this one back and serve it from the cache when
+                # the twin lands.
                 skip.add(record.job_id)
                 continue
-            taken += 1
             hit = self.cache.get(key)
-            self.telemetry.metrics.counter(
-                "service.cache_hits" if hit is not None
-                else "service.cache_misses").add(1)
             if hit is not None:
+                taken += 1
+                self.telemetry.metrics.counter("service.cache_hits").add(1)
                 self.queue.mark_cached(record, hit, key)
+                self._cells.pop(record.job_id, None)
+                self._attempt_log.pop(record.job_id, None)
                 self.telemetry.metrics.counter("service.jobs_cached").add(1)
                 finished += 1
                 continue
-            if self.batching.enabled:
-                reason = self._batch_disqualifier(record)
-                if reason is None:
-                    batch.append((record, key))
-                    batch_keys.add(key)
-                    skip.add(record.job_id)
-                    if len(batch) >= self.batching.max_jobs:
-                        self._dispatch_group(batch)
-                        batch, batch_keys = [], set()
-                    continue
+            reason = self._batch_disqualifier(record)
+            if reason is not None or not group:     # it opens a group
+                if slots == 0:
+                    break
+                slots -= 1
+            taken += 1
+            self.telemetry.metrics.counter("service.cache_misses").add(1)
+            skip.add(record.job_id)
+            self._inflight_keys[key] = record.job_id
+            if reason is not None:
                 self.telemetry.metrics.counter(
                     f"kernel.batch.fallback.{reason}").add(1)
-            self._dispatch_one(record, key)
-        if batch and self.pool.free_slots > 0:
-            if len(batch) >= 2:
-                self._dispatch_group(batch)
-            else:
-                self.telemetry.metrics.counter(
-                    "kernel.batch.fallback.alone").add(1)
-                self._dispatch_one(*batch[0])
+                self._dispatch([record])
+                continue
+            group.append(record)
+            if len(group) >= self.batching.max_jobs:
+                self._dispatch(group)
+                group = []
+        if group:
+            self._dispatch(group)
         return finished
 
-    def _dispatch_one(self, record: JobRecord, key: str) -> None:
-        """Start one solo attempt (the classic one-process-per-job path)."""
-        self.queue.mark_running(record)
-        self._inflight_keys[key] = record.job_id
-        self.pool.dispatch(record, self.job_workdir(record.job_id))
-        self._gauges()
-
-    def _dispatch_group(self, batch: list[tuple[JobRecord, str]]) -> None:
-        """Dispatch held-back small jobs as one coalesced group attempt."""
+    def _dispatch(self, group: list[JobRecord]) -> None:
+        """Start one worker attempt running ``group`` (one or more jobs);
+        ``kernel.batch.*`` counts the fused ones (two or more)."""
         now = time.time()
-        metrics = self.telemetry.metrics
-        records = []
-        for record, key in batch:
+        for record in group:
             self.queue.mark_running(record)
-            self._inflight_keys[key] = record.job_id
-            records.append(record)
-            metrics.histogram("kernel.batch.coalesce_seconds").observe(
-                max(0.0, now - record.submitted_unix))
-        metrics.counter("kernel.batch.dispatches").add(1)
-        metrics.counter("kernel.batch.jobs").add(len(records))
-        metrics.histogram("kernel.batch.size").observe(len(records))
-        self.pool.dispatch_group(
-            records, [self.job_workdir(r.job_id) for r in records])
+            self._cells.pop(record.job_id, None)
+        if len(group) > 1:
+            metrics = self.telemetry.metrics
+            for record in group:
+                metrics.histogram("kernel.batch.coalesce_seconds").observe(
+                    max(0.0, now - record.submitted_unix))
+            metrics.counter("kernel.batch.dispatches").add(1)
+            metrics.counter("kernel.batch.jobs").add(len(group))
+            metrics.histogram("kernel.batch.size").observe(len(group))
+        self.pool.dispatch(group, [self.job_workdir(record.job_id)
+                                   for record in group])
         self._gauges()
 
     def _batch_disqualifier(self, record: JobRecord) -> str | None:
@@ -377,12 +373,8 @@ class AlignmentService:
             return "chaos"
         if record.attempts > 0:
             return "retry"
-        cells = self._cells.get(record.job_id)
-        if cells is None:
-            s0, s1 = spec.load_sequences()
-            cells = len(s0) * len(s1)
-            self._cells[record.job_id] = cells
-        if cells > self.batching.max_cells:
+        # A pending first attempt was keyed this round or an earlier one.
+        if self._cells[record.job_id] > self.batching.max_cells:
             return "large"
         return None
 
@@ -421,12 +413,12 @@ class AlignmentService:
                 summary = outcome.summary
                 self.cache.put(record.cache_key, summary)
                 self.queue.mark_succeeded(record, summary)
-                self._attempt_log.pop(record.job_id, None)
                 metrics.counter("service.jobs_succeeded").add(1)
                 metrics.histogram("service.job_seconds").observe(
                     summary["wall_seconds"])
                 if summary.get("resumed_from_row"):
                     metrics.counter("service.resumed_jobs").add(1)
+                self._attempt_log.pop(record.job_id, None)
                 return 1
             self._note_attempt(record, outcome, kind)
             if outcome.timed_out:
@@ -446,6 +438,7 @@ class AlignmentService:
                     self.queue.mark_quarantined(record, outcome.error,
                                                 diagnostics=diagnostics)
                     metrics.counter("supervision.quarantined").add(1)
+                    self._attempt_log.pop(record.job_id, None)
                     return 1
                 self.queue.mark_interrupted(
                     record, outcome.error,
@@ -458,6 +451,7 @@ class AlignmentService:
                 return 0
             self.queue.mark_failed(record, outcome.error)
             metrics.counter("service.jobs_failed").add(1)
+            self._attempt_log.pop(record.job_id, None)
             return 1
 
     def _backoff_for(self, record: JobRecord) -> float | None:

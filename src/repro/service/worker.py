@@ -1,23 +1,24 @@
 """Worker pool: jobs run in ``multiprocessing`` workers.
 
-Each attempt is one child process executing the full six-stage pipeline
-in the job's private workdir (``jobs/<job_id>/`` under the service
-root).  Process isolation is what makes the envelope enforceable: a
-deadline overrun is terminated from outside, and a crashed attempt
-cannot corrupt the service.  Because the workdir persists across
-attempts, a retry resumes Stage 1 from the last on-disk checkpoint
-instead of re-sweeping from row 0 (the pipeline recovers the SRA rows
-the dead attempt already flushed).
+Each attempt is one child process running a group of one or more jobs
+through the six-stage pipeline, each in its private workdir
+(``jobs/<job_id>/`` under the service root).  Process isolation is what
+makes the envelope enforceable: a deadline overrun is terminated from
+outside, and a crashed attempt cannot corrupt the service.  Because the
+workdir persists across attempts, a retry resumes Stage 1 from the last
+on-disk checkpoint instead of re-sweeping from row 0 (the pipeline
+recovers the SRA rows the dead attempt already flushed).
 
 The child reports back over a one-shot pipe: throttled heartbeat
 messages (``{"hb": True, "stage": ..., "fraction": ...}``) while it
-works, then one final ``{"ok": True, "summary": ...}`` or ``{"ok":
-False, "error": ..., "traceback": ...}``.  The parent supervises from
-the outside on every :meth:`WorkerPool.poll`: a heartbeat that stops
-*advancing* for ``stall_seconds`` gets the attempt killed as stalled, a
-resident set over ``max_rss_bytes`` (read from ``/proc``) gets it killed
-as a memory-limit failure, and both are independent of the wall-clock
-deadline.
+works, one ``{"job_done": True, "job_id": ..., "ok": ...}`` report per
+member the moment that member lands, then one final ``{"ok": True}`` or
+``{"ok": False, "error": ..., "traceback": ...}``.  The parent
+supervises from the outside on every :meth:`WorkerPool.poll`: a
+heartbeat that stops *advancing* for ``stall_seconds`` gets the attempt
+killed as stalled, a resident set over ``max_rss_bytes`` (read from
+``/proc``) gets it killed as a memory-limit failure, and both are
+independent of the wall-clock deadline.
 
 The parent never sleeps on a fixed cadence: :meth:`WorkerPool.wait`
 blocks on every running attempt's pipe, which turns readable on a
@@ -324,66 +325,52 @@ def _restore_signals() -> None:
         signal.pthread_sigmask(signal.SIG_UNBLOCK, _CHILD_SIGNALS)
 
 
-def _job_main(conn, spec_json: dict[str, Any], workdir: str,
-              attempt: int) -> None:
-    """Child-process entry point: heartbeats while running, one final
-    report, and the crash-loop chaos hook (dies without reporting)."""
-    try:
-        _restore_signals()
-        spec = JobSpec.from_json(spec_json)
-        if attempt <= spec.inject_crash_attempts:
-            os._exit(66)    # crash injection: no report, no cleanup
-        summary = execute_job(spec, workdir, attempt,
-                              observer=HeartbeatSender(conn))
-        conn.send({"ok": True, "summary": summary})
-    except BaseException as exc:  # report everything; the parent decides
-        conn.send({"ok": False,
-                   "error": f"{type(exc).__name__}: {exc}",
-                   "traceback": traceback.format_exc()})
-    finally:
-        conn.close()
+def _attempt_main(conn, jobs: list[dict[str, Any]]) -> None:
+    """Child entry: one attempt of a group of one or more jobs.
 
-
-def _group_main(conn, jobs: list[dict[str, Any]]) -> None:
-    """Child entry for a coalesced group of jobs.
-
-    One fused Stage-1 presweep across every member, then each member's
-    pipeline in sequence.  Each job reports its own ``job_done`` message
-    the moment it lands — so if the process dies mid-group, only the
-    members that had not reported share the crash — followed by one
-    final group report.  A member's failure never takes its siblings
-    down; a failure of the group harness itself (the final ``ok: False``
-    report) is settled per unreported member by the parent.
+    A group of two or more first runs one fused Stage-1 presweep and
+    prefixes stage names with ``job i/K``; a group of one sweeps Stage 1
+    itself (checkpoint resume, pruning) under the plain names.  Each job
+    reports its own ``job_done`` message the moment it lands — so if the
+    process dies mid-group, only the members that had not reported share
+    the crash — followed by one final report.  A member's failure never
+    takes its siblings down; a failure of the attempt itself (the final
+    ``ok: False`` report) is settled per unreported member by the parent.
     """
     try:
         _restore_signals()
         specs = [JobSpec.from_json(job["spec"]) for job in jobs]
+        if any(job["attempt"] <= spec.inject_crash_attempts
+               for spec, job in zip(specs, jobs)):
+            os._exit(66)    # crash injection: no report, no cleanup
         heartbeat = HeartbeatSender(conn)
-        heartbeat.on_stage_start("batch:presweep")
-        sweepers, stats, pairs = prepare_group(specs)
-        heartbeat.on_stage_end("batch:presweep", None)
-        try:
-            conn.send({"batch_stats": stats})
-        except (BrokenPipeError, OSError):
-            pass
+        sweepers, pairs = {}, {}
+        if len(jobs) > 1:
+            heartbeat.on_stage_start("batch:presweep")
+            sweepers, stats, pairs = prepare_group(specs)
+            heartbeat.on_stage_end("batch:presweep", None)
+            try:
+                conn.send({"batch_stats": stats})
+            except (BrokenPipeError, OSError):
+                pass
         for index, (spec, job) in enumerate(zip(specs, jobs)):
-            prefix = f"job {index + 1}/{len(jobs)} "
+            observer = heartbeat if len(jobs) == 1 else _StagePrefix(
+                heartbeat, f"job {index + 1}/{len(jobs)} ")
             try:
                 summary = execute_job(
-                    spec, job["workdir"], job["attempt"],
-                    observer=_StagePrefix(heartbeat, prefix),
-                    stage1_sweeper=sweepers[spec.job_id],
-                    sequences=pairs[spec.job_id])
+                    spec, job["workdir"], job["attempt"], observer=observer,
+                    stage1_sweeper=sweepers.get(spec.job_id),
+                    sequences=pairs.get(spec.job_id))
                 conn.send({"job_done": True, "job_id": spec.job_id,
                            "ok": True, "summary": summary})
-            except BaseException as exc:
+            except BaseException as exc:  # report it; the parent decides
                 conn.send({"job_done": True, "job_id": spec.job_id,
                            "ok": False,
                            "error": f"{type(exc).__name__}: {exc}",
                            "traceback": traceback.format_exc()})
-        conn.send({"ok": True, "group": True})
+        conn.send({"ok": True})
     except BaseException as exc:
-        conn.send({"ok": False, "group": True,
+        conn.send({"ok": False,
                    "error": f"{type(exc).__name__}: {exc}",
                    "traceback": traceback.format_exc()})
     finally:
@@ -392,15 +379,14 @@ def _group_main(conn, jobs: list[dict[str, Any]]) -> None:
 
 @dataclass
 class Attempt:
-    """One in-flight child process (a single job, or a coalesced group)."""
+    """One in-flight child process running a group of one or more jobs."""
 
-    record: JobRecord
+    records: list[JobRecord]
     process: Any
     conn: Any
-    #: For group attempts: every member record (``record`` is the first).
-    group: list[JobRecord] | None = None
-    #: Per-member final reports received so far (group attempts).
-    completed: dict[str, dict[str, Any]] = field(default_factory=dict)
+    #: Per-member ``job_done`` reports received so far, each with the
+    #: attempt's last advanced heartbeat when it landed.
+    reports: dict[str, dict[str, Any]] = field(default_factory=dict)
     #: The child's fused-presweep statistics, once reported.
     batch_stats: dict[str, Any] | None = None
     started: float = field(default_factory=time.monotonic)
@@ -411,8 +397,13 @@ class Attempt:
     rss_checked: float = 0.0
 
     @property
+    def spec(self) -> JobSpec:
+        """The envelope's spec: grouped members carry none of their own."""
+        return self.records[0].spec
+
+    @property
     def deadline_exceeded(self) -> bool:
-        deadline = self.record.spec.deadline_seconds
+        deadline = self.spec.deadline_seconds
         return (deadline is not None and
                 time.monotonic() - self.started > deadline)
 
@@ -425,13 +416,13 @@ class Attempt:
         or larger fraction) — a child re-sending the same position is as
         stalled as a silent one.
         """
-        bound = self.record.spec.stall_seconds
+        bound = self.spec.stall_seconds
         if bound is None:
             bound = default
         return bound is not None and time.monotonic() - self.last_beat > bound
 
     def rss_limit(self, default: int | None) -> int | None:
-        limit = self.record.spec.max_rss_bytes
+        limit = self.spec.max_rss_bytes
         return default if limit is None else limit
 
     def note_heartbeat(self, stage: str, fraction: float) -> None:
@@ -450,8 +441,8 @@ class Finished:
     (RSS ceiling kill) or ``crashed`` (died without reporting); a plain
     reported failure sets none of them.  ``progress`` is the attempt's
     last advanced heartbeat (diagnostics).  ``batch_stats`` rides on the
-    first outcome of a coalesced group: the child's fused-presweep
-    report (lanes, buckets, padding waste).
+    first outcome of a fused group: the child's presweep report (lanes,
+    buckets, padding waste).
     """
 
     record: JobRecord
@@ -517,8 +508,8 @@ class WorkerPool:
 
     @property
     def jobs_in_flight(self) -> int:
-        """Jobs the running attempts hold: every member of a group."""
-        return sum(len(a.group) if a.group else 1 for a in self._running)
+        """Jobs the running attempts hold: every member of each group."""
+        return sum(len(attempt.records) for attempt in self._running)
 
     def pipes(self) -> list:
         """Every running attempt's result pipe, as a snapshot list.
@@ -534,38 +525,21 @@ class WorkerPool:
         ``timeout`` seconds."""
         wait_readable(self.pipes(), timeout)
 
-    def dispatch(self, record: JobRecord, workdir: str) -> None:
-        """Start one attempt of ``record`` in a fresh child process."""
-        if self.free_slots <= 0:
-            raise ConfigError("dispatch() with no free worker slot")
-        os.makedirs(workdir, exist_ok=True)
-        parent_conn, child_conn = _CTX.Pipe(duplex=False)
-        process = _CTX.Process(
-            target=_job_main,
-            args=(child_conn, record.spec.to_json(), workdir,
-                  record.attempts),
-            name=f"repro-job-{record.job_id}")
-        with _child_signals_held():
-            process.start()
-        child_conn.close()
-        self._running.append(Attempt(record=record, process=process,
-                                     conn=parent_conn))
+    def dispatch(self, records: list[JobRecord],
+                 workdirs: list[str]) -> None:
+        """Start one attempt of a group of jobs in a fresh child process.
 
-    def dispatch_group(self, records: list[JobRecord],
-                       workdirs: list[str]) -> None:
-        """Start ONE child attempt running several jobs (micro-batching).
-
-        The group occupies a single worker slot — that is the point: K
+        The group occupies a single worker slot whatever its size: K
         queued small jobs cost one process dispatch, and their Stage-1
-        sweeps run fused inside the child (:func:`_group_main`).
-        Pool-wide supervision (stall, RSS, liveness) covers the whole
+        sweeps run fused inside the child (:func:`_attempt_main`).
+        Supervision (deadline, stall, RSS, liveness) covers the whole
         group; specs carrying their own envelope overrides should not be
         grouped (the service's qualification gate enforces that).
         """
         if self.free_slots <= 0:
-            raise ConfigError("dispatch_group() with no free worker slot")
+            raise ConfigError("dispatch() with no free worker slot")
         if not records or len(records) != len(workdirs):
-            raise ConfigError("dispatch_group() needs one workdir per record")
+            raise ConfigError("dispatch() needs one workdir per record")
         jobs = []
         for record, workdir in zip(records, workdirs):
             os.makedirs(workdir, exist_ok=True)
@@ -573,13 +547,13 @@ class WorkerPool:
                          "attempt": record.attempts})
         parent_conn, child_conn = _CTX.Pipe(duplex=False)
         process = _CTX.Process(
-            target=_group_main, args=(child_conn, jobs),
-            name=f"repro-group-{records[0].job_id}-x{len(records)}")
+            target=_attempt_main, args=(child_conn, jobs),
+            name=f"repro-job-{records[0].job_id}")
         with _child_signals_held():
             process.start()
         child_conn.close()
-        self._running.append(Attempt(record=records[0], process=process,
-                                     conn=parent_conn, group=list(records)))
+        self._running.append(Attempt(records=list(records), process=process,
+                                     conn=parent_conn))
 
     @staticmethod
     def _kill(attempt: Attempt) -> None:
@@ -612,63 +586,42 @@ class WorkerPool:
                 attempt.batch_stats = message["batch_stats"]
                 continue
             if message.get("job_done"):
-                attempt.completed[message["job_id"]] = message
+                attempt.reports[message["job_id"]] = dict(
+                    message, progress=attempt.progress)
                 # A member landing is progress for the whole group.
                 attempt.note_heartbeat(f"done:{message['job_id']}", 1.0)
                 continue
             return message, False
 
     @staticmethod
-    def _reported(record: JobRecord, message: dict[str, Any],
-                  progress, batch_stats=None) -> Finished:
-        """A Finished built from the child's own report for one job."""
-        if message["ok"]:
-            return Finished(record, True, summary=message["summary"],
-                            progress=progress, batch_stats=batch_stats)
-        return Finished(record, False, error=message["error"],
-                        traceback=message.get("traceback"),
-                        progress=progress, batch_stats=batch_stats)
-
-    def _group_outcomes(self, attempt: Attempt,
-                        final: dict[str, Any] | None, *,
-                        error: str | None = None,
-                        **flags) -> list[Finished]:
-        """Per-member outcomes for a group attempt that just ended.
+    def _outcomes(attempt: Attempt, records: list[JobRecord], *,
+                  error: str | None = None, traceback: str | None = None,
+                  **flags) -> list[Finished]:
+        """Per-member outcomes for ``records`` of an attempt that ended.
 
         Members that reported their own ``job_done`` settle on that
-        report regardless of how the group ended; the rest share the
-        group's fate — the final error report, or the kill reason in
-        ``flags`` (crashed / timed_out / stalled / memory_exceeded).
-        The fused-presweep statistics ride on the first outcome.
+        report regardless of how the attempt ended; the rest share its
+        fate — the final error report, or the kill reason in ``flags``
+        (crashed / timed_out / stalled / memory_exceeded).  The
+        fused-presweep statistics ride on the first outcome.
         """
-        traceback_text = None
-        if final is not None and not final.get("ok", False):
-            error = final.get("error")
-            traceback_text = final.get("traceback")
         out: list[Finished] = []
-        for record in attempt.group:
+        for record in records:
             stats = attempt.batch_stats if not out else None
-            message = attempt.completed.get(record.job_id)
-            if message is not None:
-                out.append(self._reported(record, message, attempt.progress,
-                                          batch_stats=stats))
-            else:
+            report = attempt.reports.get(record.job_id)
+            if report is None:
                 out.append(Finished(
                     record, False,
-                    error=error or "group attempt ended before this job ran",
-                    traceback=traceback_text, progress=attempt.progress,
+                    error=error or "attempt ended before this job ran",
+                    traceback=traceback, progress=attempt.progress,
                     batch_stats=stats, **flags))
+            else:
+                out.append(Finished(
+                    record, report["ok"], summary=report.get("summary"),
+                    error=report.get("error"),
+                    traceback=report.get("traceback"),
+                    progress=report["progress"], batch_stats=stats))
         return out
-
-    def _finish(self, attempt: Attempt, final: dict[str, Any] | None, *,
-                error: str | None = None, **flags) -> list[Finished]:
-        """Outcome list for one ended attempt (single job or group)."""
-        if attempt.group is not None:
-            return self._group_outcomes(attempt, final, error=error, **flags)
-        if final is not None:
-            return [self._reported(attempt.record, final, attempt.progress)]
-        return [Finished(attempt.record, False, error=error,
-                         progress=attempt.progress, **flags)]
 
     def poll(self) -> list[Finished]:
         """Harvest finished attempts; kill any past their supervision
@@ -677,41 +630,43 @@ class WorkerPool:
         still: list[Attempt] = []
         now = time.monotonic()
         for attempt in self._running:
-            message, broken = self._drain(attempt)
-            if message is not None:
+            final, broken = self._drain(attempt)
+            if final is not None:
                 attempt.process.join()
                 attempt.conn.close()
-                done.extend(self._finish(attempt, message))
+                done.extend(self._outcomes(
+                    attempt, attempt.records, error=final.get("error"),
+                    traceback=final.get("traceback")))
             elif broken or not attempt.process.is_alive():
                 # Died without reporting (e.g. SIGKILL, OOM, os._exit).
                 attempt.process.join()
                 attempt.conn.close()
-                done.extend(self._finish(
-                    attempt, None, crashed=True,
+                done.extend(self._outcomes(
+                    attempt, attempt.records, crashed=True,
                     error=f"worker died with exit code "
                           f"{attempt.process.exitcode}"))
             elif attempt.deadline_exceeded:
                 self._kill(attempt)
                 attempt.conn.close()
-                done.extend(self._finish(
-                    attempt, None, timed_out=True,
+                done.extend(self._outcomes(
+                    attempt, attempt.records, timed_out=True,
                     error=f"deadline of "
-                          f"{attempt.record.spec.deadline_seconds}s exceeded"))
+                          f"{attempt.spec.deadline_seconds}s exceeded"))
             elif attempt.stall_exceeded(self.stall_seconds):
                 self._kill(attempt)
                 attempt.conn.close()
                 at = (f"{attempt.progress[0]} {attempt.progress[1]:.3f}"
                       if attempt.progress else "before first heartbeat")
-                done.extend(self._finish(
-                    attempt, None, stalled=True,
+                done.extend(self._outcomes(
+                    attempt, attempt.records, stalled=True,
                     error=f"stalled: no progress within "
-                          f"{attempt.record.spec.stall_seconds or self.stall_seconds}s "
+                          f"{attempt.spec.stall_seconds or self.stall_seconds}s "
                           f"(last at {at})"))
             elif self._over_rss(attempt, now):
                 self._kill(attempt)
                 attempt.conn.close()
-                done.extend(self._finish(
-                    attempt, None, memory_exceeded=True,
+                done.extend(self._outcomes(
+                    attempt, attempt.records, memory_exceeded=True,
                     error=f"memory limit exceeded: rss {attempt.last_rss} "
                           f"> {attempt.rss_limit(self.max_rss_bytes)} bytes"))
             else:
@@ -731,29 +686,33 @@ class WorkerPool:
             attempt.last_rss = rss
         return rss is not None and rss > limit
 
-    def cancel(self, job_id: str) -> list[JobRecord]:
+    def cancel(self, job_id: str) -> tuple[list[Finished], list[JobRecord]]:
         """Terminate the in-flight attempt carrying ``job_id``, if any.
 
-        The attempt is removed from the pool without producing a
-        :class:`Finished` outcome — cancellation is the caller's state
-        transition, not a failed attempt — so it never charges the
-        retry budget.  When the job was riding a coalesced group, the
-        whole child dies with it; the *other* member records come back
-        as the displaced list so the caller can requeue them (they were
-        collateral, not failures).  An empty list means either a solo
-        attempt was killed or no attempt carried the job.
+        The pipe is drained first: members that already reported, the
+        cancelled job included, come back as outcomes to settle.  The
+        rest produce none — cancellation is the caller's state
+        transition, not a failed attempt, so it never charges the retry
+        budget — and the unreported *other* members come back as the
+        displaced list so the caller can requeue them (they were
+        collateral, not failures).  Returns ``(reported, displaced)``.
         """
         for index, attempt in enumerate(self._running):
-            members = attempt.group or [attempt.record]
-            if all(record.job_id != job_id for record in members):
+            if all(record.job_id != job_id for record in attempt.records):
                 continue
+            self._drain(attempt)
             if attempt.process.is_alive():
                 attempt.process.terminate()
             attempt.process.join()
             attempt.conn.close()
             del self._running[index]
-            return [record for record in members if record.job_id != job_id]
-        return []
+            reported = [record for record in attempt.records
+                        if record.job_id in attempt.reports]
+            displaced = [record for record in attempt.records
+                         if record.job_id not in attempt.reports
+                         and record.job_id != job_id]
+            return self._outcomes(attempt, reported), displaced
+        return [], []
 
     def shutdown(self) -> None:
         """Terminate every in-flight attempt (service teardown)."""

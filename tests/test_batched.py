@@ -346,7 +346,7 @@ class TestServiceBatching:
 
     def test_grouped_results_match_solo(self, tmp_path):
         solo = AlignmentService(tmp_path / "solo",
-                                batching=BatchConfig(enabled=False))
+                                batching=BatchConfig(max_jobs=1))
         try:
             solo.submit_many(self._small_specs(3))
             solo.run()
@@ -392,7 +392,7 @@ class TestServiceBatching:
             metrics = dict(service.telemetry.metrics.snapshot())
         finally:
             service.close()
-        assert metrics["kernel.batch.fallback.alone"] == 1
+        assert "kernel.batch.dispatches" not in metrics
         assert service.queue.get("j0").state == JobState.SUCCEEDED
 
     def test_cancel_displaces_group_siblings(self, tmp_path):

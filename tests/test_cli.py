@@ -94,6 +94,19 @@ class TestAlign:
         assert rc == 2
         assert "workers must be positive" in capsys.readouterr().err
 
+    def test_batch_max_jobs_zero_clean_error(self, tmp_path, capsys):
+        """``--batch-max-jobs 1`` turns coalescing off; 0 is refused
+        before the root or the trace file is opened."""
+        spec_file = tmp_path / "specs.json"
+        spec_file.write_text('[{"catalog": "162Kx172K"}]')
+        rc = main(["batch", str(spec_file), "--root", str(tmp_path / "svc"),
+                   "--trace", str(tmp_path / "trace.jsonl"),
+                   "--batch-max-jobs", "0"])
+        assert rc == 2
+        assert "max_jobs must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "svc").exists()
+        assert not (tmp_path / "trace.jsonl").exists()
+
     def test_batch_without_specs_or_resume(self, tmp_path, capsys):
         rc = main(["batch", "--root", str(tmp_path / "svc")])
         assert rc == 2

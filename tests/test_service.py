@@ -27,6 +27,7 @@ from repro.service import (
     JobSpec,
     JobState,
     ResultCache,
+    SupervisorConfig,
     WorkerPool,
     cache_key,
     config_fingerprint,
@@ -376,7 +377,7 @@ class TestWorker:
         pool = WorkerPool(1)
         previous = signal.signal(signal.SIGTERM, lambda *_: None)
         try:
-            pool.dispatch(record, str(tmp_path / "wedge"))
+            pool.dispatch([record], [str(tmp_path / "wedge")])
             (process,) = [attempt.process for attempt in pool._running]
             process.terminate()
             process.join(10)
@@ -433,7 +434,7 @@ def _replay_group(root, specs, monkeypatch) -> list[dict]:
     """Run a group child's body in-process; returns what it reported."""
     monkeypatch.setattr(worker, "_restore_signals", lambda: None)
     results, send = multiprocessing.Pipe(duplex=False)
-    worker._group_main(send, [
+    worker._attempt_main(send, [
         {"spec": spec.to_json(), "workdir": str(root / spec.job_id),
          "attempt": 1} for spec in specs])
     messages = []
@@ -443,7 +444,7 @@ def _replay_group(root, specs, monkeypatch) -> list[dict]:
         except EOFError:        # the body closed its end: all reported
             break
     results.close()
-    assert messages[-1] == {"ok": True, "group": True}
+    assert messages[-1] == {"ok": True}
     return messages
 
 
@@ -487,14 +488,17 @@ root = sys.argv[1]
 small = [JobSpec(job_id=f"small-{i}", catalog="162Kx172K", scale=8192,
                  seed=i) for i in range(2)]
 medium = JobSpec(job_id="medium", catalog="543Kx536K", scale=512)
+def jobs(specs, names):
+    return [{"spec": spec.to_json(), "workdir": os.path.join(root, name),
+             "attempt": 1} for spec, name in zip(specs, names)]
+
 print(json.dumps({
-    "solo small": fork(worker._job_main, small[0].to_json(),
-                       os.path.join(root, "solo-small"), 1),
-    "solo medium": fork(worker._job_main, medium.to_json(),
-                        os.path.join(root, "solo-medium"), 1),
-    "group": fork(worker._group_main, [
-        {"spec": spec.to_json(), "workdir": os.path.join(root, spec.job_id),
-         "attempt": 1} for spec in small]),
+    "solo small": fork(worker._attempt_main,
+                       jobs(small[:1], ["solo-small"])),
+    "solo medium": fork(worker._attempt_main,
+                        jobs([medium], ["solo-medium"])),
+    "group": fork(worker._attempt_main,
+                  jobs(small, [spec.job_id for spec in small])),
 }))
 """
 
@@ -697,6 +701,30 @@ class TestAlignmentService:
         assert summary["jobs_per_second"] > 0
         assert summary["cache"]["hits"] == 1
 
+
+    def test_run_releases_per_job_memos(self, tmp_path):
+        """Once ``run`` settles every job — succeeded, served from the
+        cache, failed, quarantined — no per-job memo is left behind."""
+        small = dict(catalog="162Kx172K", scale=8192, block_rows=32)
+        service = AlignmentService(
+            tmp_path / "svc",
+            supervisor=SupervisorConfig(crash_loop_threshold=1, backoff=None))
+        try:
+            service.submit_many([
+                JobSpec(job_id="ok", **small),
+                JobSpec(job_id="dup", **small),
+                JobSpec(job_id="failed", seed=1, max_retries=0,
+                        inject_failure_row=0, **small),
+                JobSpec(job_id="poison", seed=2, inject_crash_attempts=1,
+                        **small)])
+            service.run()
+        finally:
+            service.close()
+        assert {r.job_id: r.state for r in service.queue.records()} == {
+            "ok": JobState.SUCCEEDED, "dup": JobState.CACHED,
+            "failed": JobState.FAILED, "poison": JobState.QUARANTINED}
+        assert service._cells == {}
+        assert service._attempt_log == {}
 
     def test_run_wakes_on_worker_reports(self, tmp_path):
         """``run`` waits on the workers' pipes, not a fixed sleep: two
